@@ -9,11 +9,8 @@ from .devices import (
     Converter,
     PhaseShift,
     TrilinearCoupler,
-    amplifier_unitary,
     apply_device,
     compile_circuit,
-    converter_unitary,
-    trilinear_unitary,
 )
 from .errors import (
     CutoffTooSmall,
@@ -21,7 +18,6 @@ from .errors import (
     EnergyConservationViolation,
     FconvError,
     NonGaussianDevice,
-    NotUnitary,
     OccupationExceedsCutoff,
     TransmissionOutOfRange,
     UnknownMode,
@@ -40,7 +36,6 @@ from .fock import (
     FockDensityOp,
     PureState,
     apply_loss,
-    apply_unitary,
     fidelity,
     fidelity_pure_mixed,
     make_coherent,

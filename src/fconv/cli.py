@@ -158,17 +158,26 @@ _DEFAULTS = {
 }
 
 
+def _read_config(path: str, experiment: str) -> dict:
+    """The file's section for ``experiment``, or the whole file if it has none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc}") from None
+    section = raw.get(experiment, raw) if isinstance(raw, dict) else raw
+    if not isinstance(section, dict):
+        raise ValueError(f"config {path!r}: expected a JSON object, got {type(section).__name__}")
+    return section
+
+
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.experiment is None:
         parser.error("missing experiment subcommand (one of: " + ", ".join(EXPERIMENTS) + ")")
 
-    file_cfg = {}
-    if ns.config:
-        with open(ns.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        file_cfg = raw.get(ns.experiment, raw if isinstance(raw, dict) else {})
+    file_cfg = _read_config(ns.config, ns.experiment) if ns.config else {}
 
     params = dict(_DEFAULTS[ns.experiment])
     for key, val in file_cfg.items():
@@ -191,7 +200,10 @@ def parse_args(argv) -> RunConfig:
     cutoff = ns.cutoff if ns.cutoff is not None else file_cfg.get("cutoff")
     if cutoff is None:
         env = os.environ.get("FCONV_DEFAULT_CUTOFF")
-        cutoff = int(env) if env else None
+        try:
+            cutoff = int(env) if env else None
+        except ValueError:
+            raise ValueError(f"FCONV_DEFAULT_CUTOFF={env!r} is not an integer") from None
     if cutoff is not None and cutoff < 1:
         parser.error(f"cutoff must be >= 1, got {cutoff}")
     output = ns.output or file_cfg.get("output") or f"{ns.experiment}.csv"
@@ -250,10 +262,6 @@ def _suffixed(path: str, tag: str) -> str:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         if cfg.backend == "both":
             res_f = _run_one(cfg, "fock")
             res_g = _run_one(cfg, "gaussian")
@@ -272,6 +280,8 @@ def main(argv=None) -> int:
         result = _run_one(cfg, cfg.backend)
         write_csv(result, cfg.output_path)
         return 0
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (FconvError, OSError, ValueError) as exc:
         print(f"fconv: {exc}", file=sys.stderr)
         return 1

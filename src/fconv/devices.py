@@ -16,12 +16,17 @@ Three interactions drive everything:
     The a^dag terms are the spontaneous-noise source.
 
   * TrilinearCoupler -- all three fields quantized, a_p a_s^dag a_i^dag + h.c.
-    Conserves n_p + n_s and n_s - n_i, so its generator is block diagonal over
-    tiny charge sectors; each block is exponentiated densely and exactly.
+    Conserves n_p + n_s and n_s - n_i.
 
-The unitaries are built as exp of explicitly anti-Hermitian generators, so
-they are unitary to machine precision regardless of truncation; truncation
-error shows up only as state leakage, which the constructors guard against.
+Each of the three generators is one ladder term L plus its Hermitian
+conjugate, and L moves every occupation by a fixed step: (+1, -1) for the
+converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
+coupler.  The conserved-charge sectors are therefore the chains of Fock
+states along that step inside the cutoff box; `device_unitary` walks them and
+exponentiates each tridiagonal block exactly.  The blocks are explicitly
+anti-Hermitian, so the unitaries are unitary to machine precision regardless
+of truncation; truncation error shows up only as state leakage, which the
+constructors guard against.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Union
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import CutoffTooSmall, DimensionMismatch, NonGaussianDevice
-from .fock import FockDensityOp, PureState, State, annihilation_matrix, apply_loss, apply_matrix
+from .errors import CutoffTooSmall, NonGaussianDevice
+from .fock import State, annihilation_matrix, apply_loss, apply_matrix
 from .registry import ModeRegistry
 
 
@@ -54,6 +59,11 @@ class Converter:
     def modes(self):
         return (self.pump_mode, self.idler_mode)
 
+    @property
+    def ladder(self):
+        """(step over ``modes``, coupling c) of the generator c L - c^* L^dag."""
+        return (1, -1), self.theta * np.exp(1j * self.phi_s)
+
 
 @dataclass(frozen=True)
 class Amplifier:
@@ -71,6 +81,10 @@ class Amplifier:
     @property
     def modes(self):
         return (self.signal_mode, self.idler_mode)
+
+    @property
+    def ladder(self):
+        return (1, 1), -self.squeeze * np.exp(1j * self.phi_p)
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,10 @@ class TrilinearCoupler:
     @property
     def modes(self):
         return (self.pump_mode, self.signal_mode, self.idler_mode)
+
+    @property
+    def ladder(self):
+        return (1, -1, -1), self.eta_tau * np.exp(-1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -132,44 +150,7 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# generators and blocked exponentials
-
-
-def _blocked_expm(generator: np.ndarray, charges: np.ndarray) -> np.ndarray:
-    """exp(K) for a charge-conserving anti-Hermitian K, one sector at a time.
-
-    ``charges`` has one row per basis state; states sharing a row form an
-    invariant subspace of K.
-    """
-    dim = generator.shape[0]
-    U = np.zeros((dim, dim), dtype=complex)
-    _, inverse = np.unique(charges, axis=0, return_inverse=True)
-    for b in range(inverse.max() + 1):
-        idx = np.nonzero(inverse == b)[0]
-        if len(idx) == 1:
-            U[idx[0], idx[0]] = np.exp(generator[idx[0], idx[0]])
-        else:
-            block = generator[np.ix_(idx, idx)]
-            U[np.ix_(idx, idx)] = expm(block)
-    return U
-
-
-def converter_generator(registry: ModeRegistry, dev: Converter) -> np.ndarray:
-    ap = annihilation_matrix(registry, dev.pump_mode)
-    ai = annihilation_matrix(registry, dev.idler_mode)
-    return np.exp(1j * dev.phi_s) * ap.conj().T @ ai - np.exp(-1j * dev.phi_s) * ap @ ai.conj().T
-
-
-def converter_unitary(registry: ModeRegistry, dev: Converter, blocked: bool = True) -> np.ndarray:
-    """exp of theta times the converter generator; conserves n_p + n_i exactly."""
-    K = dev.theta * converter_generator(registry, dev)
-    if not blocked:
-        return expm(K)
-    occ = registry.occupations()
-    p, i = registry.index(dev.pump_mode), registry.index(dev.idler_mode)
-    others = [m for m in range(registry.num_modes) if m not in (p, i)]
-    charges = np.column_stack([occ[:, p] + occ[:, i]] + [occ[:, m] for m in others])
-    return _blocked_expm(K, charges)
+# unitaries
 
 
 def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
@@ -182,6 +163,61 @@ def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
     return max(c, 1)
 
 
+def device_unitary(registry: ModeRegistry, dev: Device) -> np.ndarray:
+    """exp(K) for one unitary device on ``registry``; other modes are spectators.
+
+    PhaseShift is diagonal.  Every other device has K = c L - c^* L^dag for
+    its one ladder term L, which moves |n> to |n + step>.  K therefore only
+    couples states along chains n, n + step, ... inside the cutoff box; those
+    chains are the conserved-charge sectors, each exponentiated as one
+    tridiagonal block.
+    """
+    occ = registry.occupations()
+    if isinstance(dev, PhaseShift):
+        return np.diag(np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)]))
+    if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
+        raise TypeError(f"{type(dev).__name__} has no unitary representation")
+    if isinstance(dev, Amplifier):
+        cmin = min(registry.cutoff(dev.signal_mode), registry.cutoff(dev.idler_mode))
+        tail = np.tanh(dev.squeeze) ** (2 * (cmin + 1)) if dev.squeeze > 0 else 0.0
+        if tail > 1e-8:
+            need = amplifier_required_cutoff(dev.squeeze)
+            raise CutoffTooSmall(
+                f"squeeze {dev.squeeze} needs cutoffs >= {need} on both modes "
+                f"(have {cmin}, squeezed-vacuum tail {tail:.3e})",
+                required_cutoff=need,
+            )
+    step, c = dev.ladder
+    axes = [registry.index(m) for m in dev.modes]
+    up = np.array(step) > 0
+    n, cut = occ[:, axes], np.array(registry.cutoffs)[axes]
+    ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
+    behind = np.where(up, n, cut - n).min(axis=1)  # zero on a chain's first state
+    delta = np.zeros(registry.num_modes, dtype=int)
+    delta[axes] = step
+    U = np.zeros((registry.dim, registry.dim), dtype=complex)
+    for start in np.nonzero(behind == 0)[0]:
+        chain = occ[start] + np.outer(np.arange(ahead[start] + 1), delta)
+        idx = np.ravel_multi_index(tuple(chain.T), registry.dims)
+        if len(idx) == 1:
+            U[idx[0], idx[0]] = 1.0
+            continue
+        # <n + step| L |n>: sqrt(n_m + 1) per raised mode, sqrt(n_m) per lowered one
+        elem = np.sqrt(np.maximum(chain[:-1], chain[1:])[:, axes].prod(axis=1))
+        U[np.ix_(idx, idx)] = expm(np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1))
+    return U
+
+
+# ---------------------------------------------------------------------------
+# dense reference generators (full-space Kronecker ladder operators)
+
+
+def converter_generator(registry: ModeRegistry, dev: Converter) -> np.ndarray:
+    ap = annihilation_matrix(registry, dev.pump_mode)
+    ai = annihilation_matrix(registry, dev.idler_mode)
+    return np.exp(1j * dev.phi_s) * ap.conj().T @ ai - np.exp(-1j * dev.phi_s) * ap @ ai.conj().T
+
+
 def amplifier_generator(registry: ModeRegistry, dev: Amplifier) -> np.ndarray:
     a_s = annihilation_matrix(registry, dev.signal_mode)
     a_i = annihilation_matrix(registry, dev.idler_mode)
@@ -189,27 +225,6 @@ def amplifier_generator(registry: ModeRegistry, dev: Amplifier) -> np.ndarray:
         -np.exp(1j * dev.phi_p) * a_s.conj().T @ a_i.conj().T
         + np.exp(-1j * dev.phi_p) * a_s @ a_i
     )
-
-
-def amplifier_unitary(registry: ModeRegistry, dev: Amplifier, blocked: bool = True) -> np.ndarray:
-    """Two-mode squeezer; conserves n_s - n_i exactly."""
-    cmin = min(registry.cutoff(dev.signal_mode), registry.cutoff(dev.idler_mode))
-    tail = np.tanh(dev.squeeze) ** (2 * (cmin + 1)) if dev.squeeze > 0 else 0.0
-    if tail > 1e-8:
-        need = amplifier_required_cutoff(dev.squeeze)
-        raise CutoffTooSmall(
-            f"squeeze {dev.squeeze} needs cutoffs >= {need} on both modes "
-            f"(have {cmin}, squeezed-vacuum tail {tail:.3e})",
-            required_cutoff=need,
-        )
-    K = dev.squeeze * amplifier_generator(registry, dev)
-    if not blocked:
-        return expm(K)
-    occ = registry.occupations()
-    s, i = registry.index(dev.signal_mode), registry.index(dev.idler_mode)
-    others = [m for m in range(registry.num_modes) if m not in (s, i)]
-    charges = np.column_stack([occ[:, s] - occ[:, i]] + [occ[:, m] for m in others])
-    return _blocked_expm(K, charges)
 
 
 def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.ndarray:
@@ -220,46 +235,6 @@ def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.nda
         np.exp(-1j * dev.phase) * ap.conj().T @ a_s @ a_i
         - np.exp(1j * dev.phase) * ap @ a_s.conj().T @ a_i.conj().T
     )
-
-
-def trilinear_unitary(
-    registry: ModeRegistry, dev: TrilinearCoupler, blocked: bool = True
-) -> np.ndarray:
-    """Full three-wave-mixing evolution, exact on each conserved-charge sector.
-
-    Sectors are labeled by (n_p + n_s, n_s - n_i); for the states of interest
-    they are tiny (dimension <= min occupation + 1), so exact dynamics is cheap.
-    """
-    K = dev.eta_tau * trilinear_generator(registry, dev)
-    if not blocked:
-        return expm(K)
-    occ = registry.occupations()
-    p = registry.index(dev.pump_mode)
-    s = registry.index(dev.signal_mode)
-    i = registry.index(dev.idler_mode)
-    others = [m for m in range(registry.num_modes) if m not in (p, s, i)]
-    charges = np.column_stack(
-        [occ[:, p] + occ[:, s], occ[:, s] - occ[:, i]] + [occ[:, m] for m in others]
-    )
-    return _blocked_expm(K, charges)
-
-
-def phase_shift_unitary(registry: ModeRegistry, dev: PhaseShift) -> np.ndarray:
-    occ = registry.occupations()
-    n = occ[:, registry.index(dev.mode)]
-    return np.diag(np.exp(1j * dev.phi * n))
-
-
-def device_unitary(registry: ModeRegistry, dev: Device, blocked: bool = True) -> np.ndarray:
-    if isinstance(dev, Converter):
-        return converter_unitary(registry, dev, blocked)
-    if isinstance(dev, Amplifier):
-        return amplifier_unitary(registry, dev, blocked)
-    if isinstance(dev, TrilinearCoupler):
-        return trilinear_unitary(registry, dev, blocked)
-    if isinstance(dev, PhaseShift):
-        return phase_shift_unitary(registry, dev)
-    raise TypeError(f"{type(dev).__name__} has no unitary representation")
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ class DimensionMismatch(FconvError):
     pass
 
 
-class NotUnitary(FconvError):
-    pass
-
-
 class TransmissionOutOfRange(FconvError):
     pass
 

@@ -214,22 +214,6 @@ def apply_matrix(state: State, op: np.ndarray, modes: tuple[str, ...]) -> State:
     return FockDensityOp(reg, t.reshape(reg.dim, reg.dim))
 
 
-def apply_unitary(state: State, unitary: np.ndarray) -> State:
-    """Full-space unitary conjugation: U rho U^dag, or U psi."""
-    d = state.registry.dim
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (d, d):
-        raise DimensionMismatch(f"unitary shape {unitary.shape}, registry dim {d}")
-    defect = np.max(np.abs(unitary.conj().T @ unitary - np.eye(d)))
-    if defect > 1e-10:
-        from .errors import NotUnitary
-
-        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e} exceeds 1e-10")
-    if isinstance(state, PureState):
-        return PureState(state.registry, unitary @ state.amplitudes)
-    return FockDensityOp(state.registry, unitary @ state.matrix @ unitary.conj().T)
-
-
 def loss_kraus(dim: int, transmission: float) -> list[np.ndarray]:
     """Kraus family of the single-mode pure-loss channel with transmission T.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler
 from .errors import NonGaussianDevice
-from .fock import FockDensityOp, PureState, State, _apply_on_axes, annihilation_matrix, destroy
+from .fock import PureState, State, _apply_on_axes, annihilation_matrix, destroy
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25

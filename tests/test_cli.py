@@ -162,3 +162,29 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
     rc = main(["wdm", "--pump-frequency", "1.0", "--channel", "1.2:0.5", "-o", str(out)])
     assert rc == 1
     assert "fconv:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_text, env_cutoff",
+    [
+        (None, None),  # --config names a missing file
+        ("{not json", None),
+        ("[1, 2]", None),
+        ('{"wdm": [1]}', None),
+        ('{"wdm": {}}', "abc"),
+    ],
+    ids=["missing-file", "malformed-json", "top-level-list", "list-section", "env-cutoff"],
+)
+def test_main_bad_config_is_one_line_and_exit_1(
+    config_text, env_cutoff, tmp_path, monkeypatch, capsys
+):
+    cfgfile = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfgfile.write_text(config_text)
+    if env_cutoff is not None:
+        monkeypatch.setenv("FCONV_DEFAULT_CUTOFF", env_cutoff)
+    rc = main(["--config", str(cfgfile), "wdm", "-o", str(tmp_path / "w.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("fconv: ") and err.count("\n") == 1
+    assert not (tmp_path / "w.csv").exists()

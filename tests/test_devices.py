@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import comb
 
 from fconv import (
     Amplifier,
@@ -24,13 +25,45 @@ from fconv import (
 )
 from fconv.devices import (
     amplifier_generator,
-    amplifier_unitary,
     converter_generator,
-    converter_unitary,
+    device_unitary,
     trilinear_generator,
-    trilinear_unitary,
 )
 from fconv.fock import annihilation_matrix, apply_matrix
+
+
+SECTOR_WALK_CASES = {
+    "converter-unequal-cutoffs": (
+        [("p", 2.0, 5), ("i", 1.0, 2)],
+        Converter("p", "i", 0.9, 0.4),
+        converter_generator,
+        0.9,
+    ),
+    "converter-idler-first-spectator": (
+        [("i", 1.0, 3), ("x", 1.5, 2), ("p", 2.0, 4)],
+        Converter("p", "i", 1.3, -0.7),
+        converter_generator,
+        1.3,
+    ),
+    "amplifier-spectator": (
+        [("x", 1.5, 2), ("s", 1.0, 7), ("i", 1.0, 6)],
+        Amplifier("s", "i", 0.2, 0.6),
+        amplifier_generator,
+        0.2,
+    ),
+    "trilinear-signal-cutoff-1": (
+        [("p", 2.0, 3), ("s", 1.0, 1), ("i", 1.0, 2)],
+        TrilinearCoupler("p", "s", "i", 0.8, 0.3),
+        trilinear_generator,
+        0.8,
+    ),
+    "trilinear-spectator": (
+        [("s", 1.0, 2), ("p", 2.0, 2), ("x", 1.5, 1), ("i", 1.0, 3)],
+        TrilinearCoupler("p", "s", "i", 1.1, -0.5),
+        trilinear_generator,
+        1.1,
+    ),
+}
 
 
 def random_pure(registry, rng):
@@ -51,23 +84,23 @@ def number_matrix(registry, mode):
 
 def test_converter_theta_zero_identity():
     reg = ModeRegistry([("p", 2.0, 4), ("i", 1.0, 4)])
-    U = converter_unitary(reg, Converter("p", "i", 0.0))
+    U = device_unitary(reg, Converter("p", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
 def test_converter_full_swap():
     reg = ModeRegistry([("p", 2.0, 5), ("i", 1.0, 5)])
-    U = converter_unitary(reg, Converter("p", "i", np.pi / 2))
+    U = device_unitary(reg, Converter("p", "i", np.pi / 2))
     out = U @ make_fock(reg, [1, 0]).amplitudes
     target = make_fock(reg, [0, 1]).amplitudes
     assert abs(np.vdot(target, out)) ** 2 > 1 - 1e-10
 
 
 def test_converter_half_conversion_against_dense_expm():
-    # independent oracle: unblocked scipy expm of the same generator
+    # independent oracle: dense scipy expm of the same generator
     reg = ModeRegistry([("p", 2.0, 6), ("i", 1.0, 6)])
     dev = Converter("p", "i", np.pi / 4, phi_s=0.4)
-    U = converter_unitary(reg, dev)
+    U = device_unitary(reg, dev)
     U_dense = expm(dev.theta * converter_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-12
     out = U @ make_fock(reg, [1, 0]).amplitudes
@@ -75,9 +108,36 @@ def test_converter_half_conversion_against_dense_expm():
     assert abs(p_conv - np.sin(np.pi / 4) ** 2) < 1e-12
 
 
+@pytest.mark.parametrize("case", SECTOR_WALK_CASES)
+def test_sector_walk_matches_dense_expm(case):
+    # independent oracle: dense expm of the Kronecker-built generator
+    modes, dev, generator, strength = SECTOR_WALK_CASES[case]
+    reg = ModeRegistry(modes)
+    U_dense = expm(strength * generator(reg, dev))
+    assert np.max(np.abs(device_unitary(reg, dev) - U_dense)) < 1e-12
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_converter_fock_input_binomial_closed_form(N):
+    # SU(2) beam splitter on |N, 0>: amplitude on |N - k, k> is
+    # sqrt(C(N, k)) cos^(N-k)(theta) (-e^{-i phi_s} sin(theta))^k
+    theta, phi = 0.7, 0.9
+    reg = ModeRegistry([("p", 2.0, 6), ("i", 1.0, 6)])
+    U = device_unitary(reg, Converter("p", "i", theta, phi))
+    out = U[:, reg.flat_index([N, 0])]
+    want = np.zeros(reg.dim, dtype=complex)
+    for k in range(N + 1):
+        want[reg.flat_index([N - k, k])] = (
+            np.sqrt(comb(N, k))
+            * np.cos(theta) ** (N - k)
+            * (-np.exp(-1j * phi) * np.sin(theta)) ** k
+        )
+    assert np.max(np.abs(out - want)) < 1e-12
+
+
 def test_converter_unitary_and_number_conserving():
     reg = ModeRegistry([("p", 2.0, 5), ("i", 1.0, 4)])
-    U = converter_unitary(reg, Converter("p", "i", 1.1, 0.7))
+    U = device_unitary(reg, Converter("p", "i", 1.1, 0.7))
     assert np.max(np.abs(U.conj().T @ U - np.eye(reg.dim))) < 1e-10
     N = number_matrix(reg, "p") + number_matrix(reg, "i")
     assert np.max(np.abs(U @ N - N @ U)) < 1e-10
@@ -88,7 +148,7 @@ def test_converter_heisenberg_action():
     # untouched by truncation (total photons at least 2 below cutoff)
     reg = ModeRegistry([("p", 2.0, 8), ("i", 1.0, 8)])
     theta, phi = 0.9, 0.5
-    U = converter_unitary(reg, Converter("p", "i", theta, phi))
+    U = device_unitary(reg, Converter("p", "i", theta, phi))
     ap = annihilation_matrix(reg, "p")
     ai = annihilation_matrix(reg, "i")
     out_p = U.conj().T @ ap @ U
@@ -130,7 +190,7 @@ def test_converter_unit_conversion_of_arbitrary_pump_state():
 
 def test_amplifier_zero_identity():
     reg = ModeRegistry([("s", 1.0, 4), ("i", 1.0, 4)])
-    U = amplifier_unitary(reg, Amplifier("s", "i", 0.0))
+    U = device_unitary(reg, Amplifier("s", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
@@ -146,7 +206,7 @@ def test_amplifier_conserves_photon_difference():
     rng = np.random.default_rng(42)
     reg = ModeRegistry([("s", 1.0, 12), ("i", 1.0, 12)])
     dev = Amplifier("s", "i", 0.3, phi_p=0.9)
-    U = amplifier_unitary(reg, dev)
+    U = device_unitary(reg, dev)
     D = number_matrix(reg, "s") - number_matrix(reg, "i")
     for _ in range(3):
         psi = random_pure(reg, rng)
@@ -161,7 +221,7 @@ def test_amplifier_heisenberg_action():
     # so compare well inside the boundary
     reg = ModeRegistry([("s", 1.0, 30), ("i", 1.0, 30)])
     r, phi = 0.3, 1.2
-    U = amplifier_unitary(reg, Amplifier("s", "i", r, phi))
+    U = device_unitary(reg, Amplifier("s", "i", r, phi))
     a_s = annihilation_matrix(reg, "s")
     a_i = annihilation_matrix(reg, "i")
     G = np.cosh(r)
@@ -177,13 +237,13 @@ def test_amplifier_heisenberg_action():
 def test_amplifier_cutoff_guard():
     reg = ModeRegistry([("s", 1.0, 3), ("i", 1.0, 3)])
     with pytest.raises(CutoffTooSmall):
-        amplifier_unitary(reg, Amplifier("s", "i", 1.5))
+        device_unitary(reg, Amplifier("s", "i", 1.5))
 
 
 def test_amplifier_matches_dense_expm():
     reg = ModeRegistry([("s", 1.0, 10), ("i", 1.0, 10)])
     dev = Amplifier("s", "i", 0.4, 0.3)
-    U = amplifier_unitary(reg, dev)
+    U = device_unitary(reg, dev)
     U_dense = expm(dev.squeeze * amplifier_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-11
 
@@ -194,7 +254,7 @@ def test_amplifier_matches_dense_expm():
 
 def test_trilinear_zero_identity():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
-    U = trilinear_unitary(reg, TrilinearCoupler("p", "s", "i", 0.0))
+    U = device_unitary(reg, TrilinearCoupler("p", "s", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
@@ -210,7 +270,7 @@ def test_trilinear_single_pump_photon_rabi(eta_tau):
 def test_trilinear_two_pump_photons_against_dense_expm():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
     dev = TrilinearCoupler("p", "s", "i", 0.6, phase=0.2)
-    U = trilinear_unitary(reg, dev)
+    U = device_unitary(reg, dev)
     U_dense = expm(dev.eta_tau * trilinear_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-11
     out = U @ make_fock(reg, [2, 0, 0]).amplitudes
@@ -224,7 +284,7 @@ def test_trilinear_two_pump_photons_against_dense_expm():
 def test_trilinear_conserves_both_charges():
     rng = np.random.default_rng(9)
     reg = ModeRegistry([("p", 2.0, 3), ("s", 1.0, 3), ("i", 1.0, 3)])
-    U = trilinear_unitary(reg, TrilinearCoupler("p", "s", "i", 0.7, 1.1))
+    U = device_unitary(reg, TrilinearCoupler("p", "s", "i", 0.7, 1.1))
     N_ps = number_matrix(reg, "p") + number_matrix(reg, "s")
     N_si = number_matrix(reg, "s") - number_matrix(reg, "i")
     for _ in range(3):
@@ -304,6 +364,6 @@ def test_subregistry_application_matches_full_space():
     rng = np.random.default_rng(1)
     psi = random_pure(reg, rng)
     via_sub = apply_device(psi, dev)
-    U_full = converter_unitary(reg, dev)
+    U_full = device_unitary(reg, dev)
     via_full = U_full @ psi.amplitudes
     assert np.max(np.abs(via_sub.amplitudes - via_full)) < 1e-11

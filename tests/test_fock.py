@@ -6,12 +6,10 @@ from fconv import (
     CutoffTooSmall,
     DimensionMismatch,
     ModeRegistry,
-    NotUnitary,
     OccupationExceedsCutoff,
     TransmissionOutOfRange,
     UnknownMode,
     apply_loss,
-    apply_unitary,
     fidelity,
     make_coherent,
     make_fock,
@@ -23,12 +21,6 @@ from fconv import (
     to_density,
 )
 from fconv.devices import Amplifier, Converter, apply_device
-
-
-def haar_unitary(dim, rng):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_density(registry, rng):
@@ -142,35 +134,12 @@ def test_to_density_properties():
 
 
 # ---------------------------------------------------------------------------
-# unitary channel
-
-
-def test_apply_unitary_identity_and_trace():
-    rng = np.random.default_rng(7)
-    reg = ModeRegistry([("a", 1.0, 3)])
-    rho = random_density(reg, rng)
-    assert np.allclose(apply_unitary(rho, np.eye(reg.dim)).matrix, rho.matrix)
-    U = haar_unitary(reg.dim, rng)
-    out = apply_unitary(rho, U)
-    assert abs(np.trace(out.matrix) - 1) < 1e-10
-    assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
-
-
-def test_apply_unitary_rejects_bad_input():
-    reg = ModeRegistry([("a", 1.0, 3)])
-    v = make_vacuum(reg)
-    with pytest.raises(DimensionMismatch):
-        apply_unitary(v, np.eye(3))
-    with pytest.raises(NotUnitary):
-        apply_unitary(v, 0.5 * np.eye(reg.dim))
+# unitary devices
 
 
 def test_converter_pi_half_swaps_single_photon():
-    from fconv.devices import converter_unitary
-
     reg = ModeRegistry([("p", 2.0, 5), ("i", 1.0, 5)])
-    U = converter_unitary(reg, Converter("p", "i", np.pi / 2))
-    out = apply_unitary(make_fock(reg, [1, 0]), U)
+    out = apply_device(make_fock(reg, [1, 0]), Converter("p", "i", np.pi / 2))
     assert fidelity(out, make_fock(reg, [0, 1])) > 1 - 1e-10
 
 
