@@ -171,21 +171,81 @@ def _read_config(path: str, experiment: str) -> dict:
     return section
 
 
+def _int(v) -> int:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError
+    return int(v)
+
+
+def _float(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError
+    return float(v)
+
+
+def _floats(v) -> list[float]:
+    if not isinstance(v, list):
+        raise ValueError
+    return [_float(x) for x in v]
+
+
+def _channels(v) -> list[tuple[float, float, float]]:
+    chans = [_floats(c) for c in v] if isinstance(v, list) else []
+    if not chans or any(len(c) not in (2, 3) for c in chans):
+        raise ValueError
+    return [(*c, 0.0)[:3] for c in chans]  # PHI defaults to 0, as in --channel
+
+
+def _backend(v) -> str:
+    if v not in ("fock", "gaussian", "both"):
+        raise ValueError
+    return v
+
+
+def _text(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError
+    return v
+
+
+# config key -> (conversion matching the key's flag, what the key must be);
+# every other key is a float scalar
+_CONFIG_TYPES = {
+    "cutoff": (_int, "an integer"),
+    "points": (_int, "an integer"),
+    "pump_photon": (_int, "an integer"),
+    "alpha_s": (_floats, "a list of numbers"),
+    "channel": (_channels, "a list of [SIGNAL_FREQ, THETA] or [SIGNAL_FREQ, THETA, PHI] lists"),
+    "backend": (_backend, "one of 'fock', 'gaussian', 'both'"),
+    "output": (_text, "a string"),
+}
+_RUN_KEYS = ("backend", "cutoff", "output")
+
+
+def _typed(path: str, key: str, val):
+    """A config file value converted like the value of its flag."""
+    convert, what = _CONFIG_TYPES.get(key, (_float, "a number"))
+    try:
+        return convert(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"config {path!r}: {key!r} must be {what}, got {val!r}") from None
+
+
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.experiment is None:
         parser.error("missing experiment subcommand (one of: " + ", ".join(EXPERIMENTS) + ")")
 
-    file_cfg = _read_config(ns.config, ns.experiment) if ns.config else {}
-
     params = dict(_DEFAULTS[ns.experiment])
-    for key, val in file_cfg.items():
-        if key in ("backend", "cutoff", "output"):
-            continue
-        if key not in params:
-            parser.error(f"config key {key!r} unknown for experiment {ns.experiment!r}")
-        params[key] = val
+    file_cfg = {}
+    if ns.config:
+        for key, val in _read_config(ns.config, ns.experiment).items():
+            if key not in params and key not in _RUN_KEYS:
+                parser.error(f"config key {key!r} unknown for experiment {ns.experiment!r}")
+            if val is not None:  # null keeps the default
+                file_cfg[key] = _typed(ns.config, key, val)
+    params.update((k, v) for k, v in file_cfg.items() if k in params)
     for key in params:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
@@ -207,8 +267,6 @@ def parse_args(argv) -> RunConfig:
     if cutoff is not None and cutoff < 1:
         parser.error(f"cutoff must be >= 1, got {cutoff}")
     output = ns.output or file_cfg.get("output") or f"{ns.experiment}.csv"
-    if params.get("channel") is not None:
-        params["channel"] = [tuple(c) for c in params["channel"]]
     return RunConfig(ns.experiment, backend, cutoff, params, output)
 
 

@@ -24,8 +24,10 @@ converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
 coupler.  The conserved-charge sectors are therefore the chains of Fock
 states along that step inside the cutoff box; `device_unitary` walks them and
 exponentiates each tridiagonal block exactly.  The blocks are explicitly
-anti-Hermitian, so the unitaries are unitary to machine precision regardless
-of truncation; truncation error shows up only as state leakage, which the
+anti-Hermitian, so `expm` exponentiates each one through the Hermitian
+eigendecomposition of i times the block (numpy's `eigh`, no Pade
+approximant): the unitaries are unitary to machine precision regardless of
+truncation; truncation error shows up only as state leakage, which the
 constructors guard against.
 """
 
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffTooSmall, NonGaussianDevice
 from .fock import State, annihilation_matrix, apply_loss, apply_matrix
@@ -153,6 +154,16 @@ class Circuit:
 # unitaries
 
 
+def expm(K: np.ndarray) -> np.ndarray:
+    """exp(K) for an anti-Hermitian K, from the eigenbasis of the Hermitian iK.
+
+    iK = V diag(w) V^dag gives exp(K) = V diag(e^{-iw}) V^dag, which is
+    unitary by construction.
+    """
+    w, v = np.linalg.eigh(1j * K)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
     """Smallest per-mode cutoff keeping the two-mode-squeezed-vacuum tail <= tol."""
     if squeeze == 0.0:
@@ -193,18 +204,18 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> np.ndarray:
     n, cut = occ[:, axes], np.array(registry.cutoffs)[axes]
     ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
     behind = np.where(up, n, cut - n).min(axis=1)  # zero on a chain's first state
-    delta = np.zeros(registry.num_modes, dtype=int)
-    delta[axes] = step
+    # <n + step| L |n>: sqrt(n_m + 1) per raised mode, sqrt(n_m) per lowered one
+    elem = np.sqrt(np.where(up, n + 1, n).prod(axis=1))
+    strides = np.cumprod((1,) + registry.dims[:0:-1])[::-1]
+    jump = int(strides[axes] @ step)  # flat-index change of one step
     U = np.zeros((registry.dim, registry.dim), dtype=complex)
     for start in np.nonzero(behind == 0)[0]:
-        chain = occ[start] + np.outer(np.arange(ahead[start] + 1), delta)
-        idx = np.ravel_multi_index(tuple(chain.T), registry.dims)
+        idx = start + jump * np.arange(ahead[start] + 1)
         if len(idx) == 1:
-            U[idx[0], idx[0]] = 1.0
+            U[start, start] = 1.0
             continue
-        # <n + step| L |n>: sqrt(n_m + 1) per raised mode, sqrt(n_m) per lowered one
-        elem = np.sqrt(np.maximum(chain[:-1], chain[1:])[:, axes].prod(axis=1))
-        U[np.ix_(idx, idx)] = expm(np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1))
+        K = np.diag(c * elem[idx[:-1]], -1)
+        U[idx[:, None], idx] = expm(K - K.conj().T)
     return U
 
 

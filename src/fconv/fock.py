@@ -11,11 +11,10 @@ mutated after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb, gammaln
-from scipy.stats import poisson
 
 from .errors import (
     CutoffTooSmall,
@@ -125,17 +124,29 @@ def make_fock(registry: ModeRegistry, occupations) -> PureState:
     return PureState(registry, amp)
 
 
-def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
-    """Smallest cutoff whose Poisson tail mass beyond it is <= tol."""
-    mu = abs(alpha) ** 2
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0 .. size - 1."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+
+
+def poisson_tails(mu: float) -> np.ndarray:
+    """P(N > c) for c = 0, 1, ... with N ~ Poisson(mu); the last entry is 0.
+
+    The pmf is formed in the log domain and summed from the far end, where
+    the mass left out (beyond mu + 12 sqrt(mu) + 60) is below 1e-30, so small
+    tails carry no 1 - cdf cancellation.
+    """
+    size = int(mu + 12 * math.sqrt(mu)) + 61
     if mu == 0.0:
-        return 1
-    c = int(poisson.isf(tol, mu))
-    while poisson.sf(c, mu) > tol:
-        c += 1
-    while c > 1 and poisson.sf(c - 1, mu) <= tol:
-        c -= 1
-    return max(c, 1)
+        return np.zeros(size)
+    n = np.arange(size)
+    pmf = np.exp(n * math.log(mu) - mu - _log_factorials(size))
+    return np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+
+
+def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
+    """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= tol."""
+    return 1 + int(np.argmax(poisson_tails(abs(alpha) ** 2)[1:] <= tol))
 
 
 def make_coherent(registry: ModeRegistry, mode: str, alpha: complex) -> PureState:
@@ -147,7 +158,8 @@ def make_coherent(registry: ModeRegistry, mode: str, alpha: complex) -> PureStat
     m = registry.index(mode)
     cutoff = registry.cutoffs[m]
     mu = abs(alpha) ** 2
-    tail = poisson.sf(cutoff, mu) if mu > 0 else 0.0
+    tails = poisson_tails(mu)
+    tail = tails[min(cutoff, len(tails) - 1)]
     if tail > COHERENT_TAIL_TOL:
         need = coherent_required_cutoff(alpha)
         raise CutoffTooSmall(
@@ -158,7 +170,7 @@ def make_coherent(registry: ModeRegistry, mode: str, alpha: complex) -> PureStat
     n = np.arange(cutoff + 1)
     # log-domain to stay finite for large |alpha|
     if mu > 0:
-        logmag = n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) - mu / 2
+        logmag = n * np.log(abs(alpha)) - 0.5 * _log_factorials(cutoff + 1) - mu / 2
         vec = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
     else:
         vec = np.zeros(cutoff + 1, dtype=complex)
@@ -214,20 +226,24 @@ def apply_matrix(state: State, op: np.ndarray, modes: tuple[str, ...]) -> State:
     return FockDensityOp(reg, t.reshape(reg.dim, reg.dim))
 
 
-def loss_kraus(dim: int, transmission: float) -> list[np.ndarray]:
-    """Kraus family of the single-mode pure-loss channel with transmission T.
+def loss_superoperator(dim: int, transmission: float) -> np.ndarray:
+    """The single-mode pure-loss channel rho -> sum_k K_k rho K_k^dag as one
+    (dim^2, dim^2) matrix on the mode's (row, column) index pair.
 
-    K_k |n> = sqrt(C(n,k) (1-T)^k T^(n-k)) |n-k>, k = 0..cutoff.
+    K_k |n> = sqrt(C(n,k) (1-T)^k T^(n-k)) |n-k>, k = 0..cutoff, so the
+    channel maps |n><m| to sum_k K_k[n-k,n] K_k[m-k,m] |n-k><m-k|.
     """
-    ops = []
+    S = np.zeros((dim, dim, dim, dim), dtype=complex)
     for k in range(dim):
-        K = np.zeros((dim, dim), dtype=complex)
         n = np.arange(k, dim)
-        K[n - k, n] = np.sqrt(
-            comb(n, k) * (1.0 - transmission) ** k * transmission ** (n - k).astype(float)
+        amp = np.sqrt(
+            np.array([math.comb(j, k) for j in range(k, dim)], dtype=float)
+            * (1.0 - transmission) ** k
+            * transmission ** (n - k).astype(float)
         )
-        ops.append(K)
-    return ops
+        lowered = n - k
+        S[lowered[:, None], lowered, n[:, None], n] = np.outer(amp, amp)
+    return S.reshape(dim * dim, dim * dim)
 
 
 def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
@@ -237,13 +253,8 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     rho = state if isinstance(state, FockDensityOp) else to_density(state)
     reg = rho.registry
     axis = reg.index(mode)
-    m = reg.num_modes
-    d = reg.dims[axis]
-    t = rho.tensorized()
-    out = np.zeros_like(t)
-    for K in loss_kraus(d, transmission):
-        term = _apply_on_axes(t, K, (axis,))
-        out += _apply_on_axes(term, K.conj(), (axis + m,))
+    S = loss_superoperator(reg.dims[axis], transmission)
+    out = _apply_on_axes(rho.tensorized(), S, (axis, axis + reg.num_modes))
     mat = out.reshape(reg.dim, reg.dim)
     # symmetrize away float round-off before the constructor's Hermiticity gate
     mat = (mat + mat.conj().T) / 2

@@ -1,5 +1,9 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,26 +169,90 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text, env_cutoff",
+    "config_text, env_cutoff, experiment",
     [
-        (None, None),  # --config names a missing file
-        ("{not json", None),
-        ("[1, 2]", None),
-        ('{"wdm": [1]}', None),
-        ('{"wdm": {}}', "abc"),
+        (None, None, "wdm"),  # --config names a missing file
+        ("{not json", None, "wdm"),
+        ("[1, 2]", None, "wdm"),
+        ('{"wdm": [1]}', None, "wdm"),
+        ('{"wdm": {}}', "abc", "wdm"),
+        ('{"cutoff": "abc"}', None, "fringe"),
+        ('{"points": "x"}', None, "fringe"),
+        ('{"points": 2.5}', None, "fringe"),
+        ('{"alpha_pump": true}', None, "fringe"),
+        ('{"alpha_s": 3}', None, "depletion"),
+        ('{"channel": [[1.1, "a"]]}', None, "wdm"),
+        ('{"output": 5}', None, "wdm"),
     ],
-    ids=["missing-file", "malformed-json", "top-level-list", "list-section", "env-cutoff"],
+    ids=[
+        "missing-file",
+        "malformed-json",
+        "top-level-list",
+        "list-section",
+        "env-cutoff",
+        "string-cutoff",
+        "string-points",
+        "fractional-points",
+        "bool-scalar",
+        "scalar-alpha-s",
+        "string-in-channel",
+        "integer-output",
+    ],
 )
 def test_main_bad_config_is_one_line_and_exit_1(
-    config_text, env_cutoff, tmp_path, monkeypatch, capsys
+    config_text, env_cutoff, experiment, tmp_path, monkeypatch, capsys
 ):
     cfgfile = tmp_path / "cfg.json"
     if config_text is not None:
         cfgfile.write_text(config_text)
     if env_cutoff is not None:
         monkeypatch.setenv("FCONV_DEFAULT_CUTOFF", env_cutoff)
-    rc = main(["--config", str(cfgfile), "wdm", "-o", str(tmp_path / "w.csv")])
+    rc = main(["--config", str(cfgfile), experiment, "-o", str(tmp_path / "w.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("fconv: ") and err.count("\n") == 1
     assert not (tmp_path / "w.csv").exists()
+
+
+def test_config_values_take_their_flag_types(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(
+        json.dumps(
+            {
+                "depletion": {"alpha_s": [2, "3.5"], "pump_photon": 2.0, "cutoff": "9"},
+                "wdm": {"channel": [[1.2, 0.5], [0.8, 1, 0.25]], "pump_frequency": 2},
+            }
+        )
+    )
+    cfg = parse_args(["--config", str(cfgfile), "depletion"])
+    assert cfg.params["alpha_s"] == [2.0, 3.5]
+    assert cfg.params["pump_photon"] == 2 and isinstance(cfg.params["pump_photon"], int)
+    assert cfg.cutoff == 9
+    cfg = parse_args(["--config", str(cfgfile), "wdm"])
+    assert cfg.params["channel"] == [(1.2, 0.5, 0.0), (0.8, 1.0, 0.25)]
+    assert cfg.params["pump_frequency"] == 2.0 and isinstance(cfg.params["pump_frequency"], float)
+
+
+def test_main_runs_without_scipy(tmp_path):
+    # the runtime depends on numpy alone: with every scipy import made to
+    # fail, all five experiments still run at their default flags
+    import fconv
+
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
+import fconv.cli
+leaked = sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None)
+assert not leaked, leaked
+runs = [[e] for e in {list(fconv.cli.EXPERIMENTS)!r}] + [["noise", "--backend", "both"]]
+for argv in runs:
+    rc = fconv.cli.main(argv + ["-o", "-".join(argv) + ".csv"])
+    assert rc == 0, (argv, rc)
+"""
+    src = str(Path(fconv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == 7

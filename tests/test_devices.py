@@ -29,6 +29,7 @@ from fconv.devices import (
     device_unitary,
     trilinear_generator,
 )
+from fconv.devices import expm as chain_expm
 from fconv.fock import annihilation_matrix, apply_matrix
 
 
@@ -115,6 +116,19 @@ def test_sector_walk_matches_dense_expm(case):
     reg = ModeRegistry(modes)
     U_dense = expm(strength * generator(reg, dev))
     assert np.max(np.abs(device_unitary(reg, dev) - U_dense)) < 1e-12
+
+
+@pytest.mark.parametrize("size", range(2, 42))
+def test_chain_expm_matches_scipy_and_is_unitary(size):
+    # a random chain block: tridiagonal K = c L - c^* L^dag with ladder
+    # elements like sqrt(n_1 n_2) of two modes with cutoff up to 40
+    rng = np.random.default_rng(size)
+    c = rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    elem = np.sqrt(rng.integers(1, 41, size - 1) * rng.integers(1, 41, size - 1))
+    K = np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1)
+    U = chain_expm(K)
+    assert np.max(np.abs(U - expm(K))) < 1e-13
+    assert np.max(np.abs(U.conj().T @ U - np.eye(size))) < 1e-13
 
 
 @pytest.mark.parametrize("N", range(7))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import comb
 from scipy.stats import poisson
 
 from fconv import (
@@ -21,6 +22,7 @@ from fconv import (
     to_density,
 )
 from fconv.devices import Amplifier, Converter, apply_device
+from fconv.fock import COHERENT_TAIL_TOL, coherent_required_cutoff, poisson_tails
 
 
 def random_density(registry, rng):
@@ -115,6 +117,44 @@ def test_coherent_cutoff_too_small():
     assert exc.value.required_cutoff > 10
 
 
+# amplitudes in [0, 12], plus the ones the CLI runners size cutoffs for at
+# their defaults: linearity (1), fringe (sqrt(2) times the largest amplitude,
+# with its float round-up) and depletion (2..5)
+ORACLE_ALPHAS = np.concatenate(
+    [np.linspace(0.0, 12.0, 1001), [1.0, np.sqrt(2) * (1 + 1e-12), 2.0, 3.0, 4.0, 5.0]]
+)
+
+
+def scipy_required_cutoff(alpha):
+    # independent oracle: smallest c >= 1 with scipy's Poisson survival function <= tol
+    cs = np.arange(1, 400)
+    return int(cs[np.argmax(poisson.sf(cs, abs(alpha) ** 2) <= COHERENT_TAIL_TOL)])
+
+
+def test_coherent_required_cutoff_matches_scipy_poisson():
+    ours = [coherent_required_cutoff(a) for a in ORACLE_ALPHAS]
+    assert ours == [scipy_required_cutoff(a) for a in ORACLE_ALPHAS]
+
+
+def test_make_coherent_raises_exactly_below_required_cutoff():
+    for alpha in ORACLE_ALPHAS:
+        need = scipy_required_cutoff(alpha)
+        make_coherent(ModeRegistry([("a", 1.0, need)]), "a", alpha)
+        if need > 1:
+            with pytest.raises(CutoffTooSmall) as exc:
+                make_coherent(ModeRegistry([("a", 1.0, need - 1)]), "a", alpha)
+            assert exc.value.required_cutoff == need
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01, 1.0, 4.0, 37.5, 144.0])
+def test_poisson_tails_match_scipy_survival(mu):
+    # relative agreement where the tail is resolved; the mass left out
+    # beyond the far end is below 1e-30
+    tails = poisson_tails(mu)
+    sf = poisson.sf(np.arange(len(tails)), mu)
+    assert np.all(np.abs(tails - sf) <= 1e-11 * sf + 1e-30)
+
+
 def test_coherent_complex_phase():
     reg = ModeRegistry([("a", 1.0, 25)])
     alpha = 1.3 * np.exp(0.7j)
@@ -173,6 +213,32 @@ def test_loss_composition():
     twice = apply_loss(apply_loss(rho, "a", 0.6), "a", 0.5)
     assert np.max(np.abs(once.matrix - twice.matrix)) < 1e-10
     assert abs(np.trace(twice.matrix) - 1) < 1e-10
+
+
+def kraus_loss_reference(rho, axis, transmission):
+    # independent oracle: sum_k K_k rho K_k^dag with full-space Kraus operators
+    dims = rho.registry.dims
+    d = dims[axis]
+    out = np.zeros_like(rho.matrix)
+    for k in range(d):
+        K = np.zeros((d, d))
+        for n in range(k, d):
+            K[n - k, n] = np.sqrt(comb(n, k) * (1 - transmission) ** k * transmission ** (n - k))
+        full = np.array([[1.0]])
+        for i, di in enumerate(dims):
+            full = np.kron(full, K if i == axis else np.eye(di))
+        out += full @ rho.matrix @ full.T
+    return out
+
+
+@pytest.mark.parametrize("mode", ["a", "b"])
+def test_loss_matches_kraus_sum(mode):
+    rng = np.random.default_rng(5)
+    reg = ModeRegistry([("a", 1.0, 4), ("b", 1.0, 3)])
+    rho = random_density(reg, rng)
+    out = apply_loss(rho, mode, 0.37)
+    want = kraus_loss_reference(rho, reg.index(mode), 0.37)
+    assert np.max(np.abs(out.matrix - want)) < 1e-13
 
 
 def test_loss_preserves_positivity():
