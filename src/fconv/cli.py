@@ -8,6 +8,7 @@ environment variable FCONV_DEFAULT_CUTOFF sets the default Fock cutoff.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,6 +71,7 @@ def _parse_channel(text: str):
     return (f, t, p)
 
 
+@functools.cache  # built on first use, not at import; parse_args reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fconv",

@@ -89,9 +89,13 @@ class WdmSpec:
         return tuple(self.pump_frequency - f for f, _, _ in self.channels)
 
 
+def _cutoffs(registry: ModeRegistry) -> str:
+    return ";".join(f"{m.label}={m.cutoff}" for m in registry.modes)
+
+
 def _meta(backend: str, registry: ModeRegistry, **params) -> dict[str, str]:
     meta = {"backend": backend}
-    meta["cutoffs"] = ";".join(f"{m.label}={m.cutoff}" for m in registry.modes)
+    meta["cutoffs"] = _cutoffs(registry)
     for k, v in params.items():
         meta[k] = repr(v) if isinstance(v, (int, float, complex)) else str(v)
     return meta
@@ -301,7 +305,7 @@ def run_noise_comparison(
             "amplifier_spontaneous_photons",
         ),
         rows=tuple(rows),
-        metadata=_meta(backend, reg_amp),
+        metadata=_meta(backend, reg_amp, converter_cutoffs=_cutoffs(reg_conv)),
     )
 
 

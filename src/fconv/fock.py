@@ -5,6 +5,13 @@ Conventions (fixed once, used everywhere):
   * quadratures: X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2, so the vacuum
     variance is 1/4 for every phase.
 
+Mixed states are stored as a factor, never as a dense density matrix:
+rho = W W^dag with W of shape (dim, r).  Each column of W is one branch of
+the state's purification, e.g. one photon count lost to an attenuator's
+environment, so every channel and observable here acts on W alone, exactly
+as on a pure state.  A factor is never wider than tall: a wider result is
+narrowed to R^dag from the QR factorisation W^dag = Q R, since R^dag R = W W^dag.
+
 Everything here is a pure function returning new values; states are never
 mutated after construction.
 """
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,26 +79,51 @@ class PureState:
         return self.amplitudes.reshape(self.registry.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FockDensityOp:
+    """Density operator rho = W W^dag, held as its factor W of shape (dim, r).
+
+    Build it from a matrix, FockDensityOp(registry, rho), which must be
+    Hermitian, of unit trace and positive semidefinite, or from a factor,
+    FockDensityOp(registry, factor=W), whose squared Frobenius norm must be 1.
+    """
+
     registry: ModeRegistry
-    matrix: np.ndarray
+    factor: np.ndarray
 
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
-        d = self.registry.dim
-        if rho.shape != (d, d):
-            raise DimensionMismatch(f"density matrix shape {rho.shape}, registry dim {d}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
-        object.__setattr__(self, "matrix", rho)
+    def __init__(self, registry: ModeRegistry, matrix=None, *, factor=None):
+        d = registry.dim
+        if (matrix is None) == (factor is None):
+            raise TypeError("give exactly one of matrix and factor")
+        if matrix is not None:
+            rho = np.asarray(matrix, dtype=complex)
+            if rho.shape != (d, d):
+                raise DimensionMismatch(f"density matrix shape {rho.shape}, registry dim {d}")
+            if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+                raise ValueError("density matrix is not Hermitian within 1e-12")
+            tr = np.trace(rho).real
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
+            w, v = np.linalg.eigh(rho)
+            if w[0] < -1e-10:
+                raise ValueError(f"density matrix eigenvalue {w[0]:.3e} is below -1e-10")
+            W = v * np.sqrt(np.clip(w, 0.0, None))
+        else:
+            W = np.asarray(factor, dtype=complex)
+            if W.ndim != 2 or W.shape[0] != d:
+                raise DimensionMismatch(f"density factor shape {W.shape}, registry dim {d}")
+            tr = np.vdot(W, W).real
+            if abs(tr - 1.0) > 1e-10:
+                raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
+            if W.shape[1] > d:
+                W = np.linalg.qr(W.conj().T, mode="r").conj().T
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "factor", W)
 
-    def tensorized(self) -> np.ndarray:
-        dims = self.registry.dims
-        return self.matrix.reshape(dims + dims)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim, dim) density matrix, formed on first use."""
+        return self.factor @ self.factor.conj().T
 
 
 State = PureState | FockDensityOp
@@ -193,7 +226,16 @@ def product_state(*states: PureState) -> PureState:
 
 
 def to_density(state: PureState) -> FockDensityOp:
-    return FockDensityOp(state.registry, np.outer(state.amplitudes, state.amplitudes.conj()))
+    return FockDensityOp(state.registry, factor=state.amplitudes[:, None])
+
+
+def _factor_tensor(state: State) -> np.ndarray:
+    """W of rho = W W^dag with one axis per mode and a last axis per branch.
+
+    A pure state is its own factor, with one branch.
+    """
+    W = state.factor if isinstance(state, FockDensityOp) else state.amplitudes[:, None]
+    return W.reshape(state.registry.dims + W.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -212,106 +254,69 @@ def _apply_on_axes(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) ->
 def apply_matrix(state: State, op: np.ndarray, modes: tuple[str, ...]) -> State:
     """Apply a (not necessarily unitary-checked) operator on a subset of modes.
 
-    Pure states: psi -> O psi.  Density operators: rho -> O rho O^dag.
+    Pure states: psi -> O psi.  Density operators: W -> O W (rho -> O rho O^dag).
     Used by the device layer, which guarantees unitarity by construction.
     """
     reg = state.registry
     axes = tuple(reg.index(m) for m in modes)
+    out = _apply_on_axes(_factor_tensor(state), op, axes).reshape(reg.dim, -1)
     if isinstance(state, PureState):
-        out = _apply_on_axes(state.tensorized(), op, axes)
-        return PureState(reg, out.reshape(-1))
-    m = reg.num_modes
-    t = _apply_on_axes(state.tensorized(), op, axes)
-    t = _apply_on_axes(t, op.conj(), tuple(a + m for a in axes))
-    return FockDensityOp(reg, t.reshape(reg.dim, reg.dim))
-
-
-def loss_superoperator(dim: int, transmission: float) -> np.ndarray:
-    """The single-mode pure-loss channel rho -> sum_k K_k rho K_k^dag as one
-    (dim^2, dim^2) matrix on the mode's (row, column) index pair.
-
-    K_k |n> = sqrt(C(n,k) (1-T)^k T^(n-k)) |n-k>, k = 0..cutoff, so the
-    channel maps |n><m| to sum_k K_k[n-k,n] K_k[m-k,m] |n-k><m-k|.
-    """
-    S = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        n = np.arange(k, dim)
-        amp = np.sqrt(
-            np.array([math.comb(j, k) for j in range(k, dim)], dtype=float)
-            * (1.0 - transmission) ** k
-            * transmission ** (n - k).astype(float)
-        )
-        lowered = n - k
-        S[lowered[:, None], lowered, n[:, None], n] = np.outer(amp, amp)
-    return S.reshape(dim * dim, dim * dim)
+        return PureState(reg, out[:, 0])
+    return FockDensityOp(reg, factor=out)
 
 
 def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
-    """Single-mode pure-loss (attenuation) channel; always returns a density op."""
+    """Single-mode pure-loss (attenuation) channel; always returns a density op.
+
+    Loss branch k (k photons lost to the environment) is the Kraus operator
+    K_k |n> = sqrt(C(n,k) (1-T)^k T^(n-k)) |n-k>, k = 0..cutoff; the output
+    factor holds the columns K_k W of every branch side by side.
+    """
     if not 0.0 <= transmission <= 1.0:
         raise TransmissionOutOfRange(f"transmission {transmission} outside [0, 1]")
-    rho = state if isinstance(state, FockDensityOp) else to_density(state)
-    reg = rho.registry
+    reg = state.registry
     axis = reg.index(mode)
-    S = loss_superoperator(reg.dims[axis], transmission)
-    out = _apply_on_axes(rho.tensorized(), S, (axis, axis + reg.num_modes))
-    mat = out.reshape(reg.dim, reg.dim)
-    # symmetrize away float round-off before the constructor's Hermiticity gate
-    mat = (mat + mat.conj().T) / 2
-    return FockDensityOp(reg, mat)
+    d = reg.dims[axis]
+    t = np.moveaxis(_factor_tensor(state), axis, 0)
+    out = np.zeros(t.shape + (d,), dtype=complex)  # last axis: branch k
+    for k in range(d):
+        amp = np.sqrt(
+            [
+                math.comb(n, k) * (1.0 - transmission) ** k * transmission ** (n - k)
+                for n in range(k, d)
+            ]
+        )
+        out[: d - k, ..., k] = amp.reshape((-1,) + (1,) * (t.ndim - 1)) * t[k:]
+    out = np.moveaxis(out, 0, axis)
+    return FockDensityOp(reg, factor=out.reshape(reg.dim, -1))
 
 
-def partial_trace(state: FockDensityOp, keep) -> FockDensityOp:
+def reduced_density(state: State, keep) -> FockDensityOp:
+    """Reduced density operator on the kept modes, for either state kind.
+
+    The traced-out modes join the factor's columns: W -> (dim_keep, rest * r).
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("keep must be nonempty")
     reg = state.registry
     keep_axes = [reg.index(l) for l in keep]
-    t = state.tensorized()
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[: reg.num_modes])
-    col = [
-        letters[reg.num_modes + i] if i in keep_axes else row[i]
-        for i in range(reg.num_modes)
-    ]
-    out_row = [row[i] for i in keep_axes]
-    out_col = [col[i] for i in keep_axes]
-    spec = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    red = np.einsum(spec, t)
+    t = np.moveaxis(_factor_tensor(state), keep_axes, range(len(keep_axes)))
     sub = reg.subregistry(keep)
-    return FockDensityOp(sub, red.reshape(sub.dim, sub.dim))
+    return FockDensityOp(sub, factor=t.reshape(sub.dim, -1))
 
 
-def reduced_density(state: State, keep) -> FockDensityOp:
-    """Reduced density operator on the kept modes, for either state kind."""
-    if isinstance(state, FockDensityOp):
-        return partial_trace(state, keep)
-    reg = state.registry
-    keep = list(keep)
-    keep_axes = [reg.index(l) for l in keep]
-    t = np.moveaxis(state.tensorized(), keep_axes, range(len(keep_axes)))
-    dk = int(np.prod([reg.dims[i] for i in keep_axes]))
-    t = t.reshape(dk, -1)
-    red = t @ t.conj().T
-    sub = reg.subregistry(keep)
-    return FockDensityOp(sub, (red + red.conj().T) / 2)
+partial_trace = reduced_density
 
 
 # ---------------------------------------------------------------------------
 # observables
 
 
-def _single_mode_rdm(state: State, mode: str) -> np.ndarray:
-    return reduced_density(state, [mode]).matrix
-
-
 def mean_photon(state: State, mode: str) -> float:
     reg = state.registry
     axis = reg.index(mode)
-    if isinstance(state, PureState):
-        probs = np.abs(state.tensorized()) ** 2
-    else:
-        probs = np.real(np.diagonal(state.matrix)).reshape(reg.dims)
+    probs = (np.abs(_factor_tensor(state)) ** 2).sum(axis=-1)
     n = np.arange(reg.dims[axis], dtype=float)
     per_level = np.moveaxis(probs, axis, 0).reshape(reg.dims[axis], -1).sum(axis=1)
     return float(per_level @ n)
@@ -319,11 +324,13 @@ def mean_photon(state: State, mode: str) -> float:
 
 def quadrature_variance(state: State, mode: str, phase: float) -> float:
     """Variance of X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; vacuum gives 1/4."""
-    rho = _single_mode_rdm(state, mode)
-    d = rho.shape[0]
+    W = reduced_density(state, [mode]).factor
+    d = W.shape[0]
     x = (destroy(d) * np.exp(-1j * phase) + destroy(d).conj().T * np.exp(1j * phase)) / 2
-    ex = np.trace(rho @ x).real
-    ex2 = np.trace(rho @ x @ x).real
+    xW = x @ W
+    # x is Hermitian: Tr(rho x) = <W, x W> and Tr(rho x x) = |x W|^2
+    ex = np.vdot(W, xW).real
+    ex2 = np.vdot(xW, xW).real
     return float(ex2 - ex**2)
 
 
@@ -341,5 +348,5 @@ def fidelity_pure_mixed(psi: PureState, rho: FockDensityOp) -> float:
         raise DimensionMismatch(
             f"state dims differ: {psi.registry.dims} vs {rho.registry.dims}"
         )
-    v = psi.amplitudes
-    return float(np.real(v.conj() @ rho.matrix @ v))
+    v = rho.factor.conj().T @ psi.amplitudes
+    return float(np.vdot(v, v).real)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler
 from .errors import NonGaussianDevice
-from .fock import PureState, State, _apply_on_axes, annihilation_matrix, destroy
+from .fock import State, _apply_on_axes, _factor_tensor, destroy
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25
@@ -151,33 +151,20 @@ def moments_from_fock(state: State) -> tuple[np.ndarray, np.ndarray]:
     reg = state.registry
     M = reg.num_modes
 
-    if isinstance(state, PureState):
-        ops = []
-        for m in range(M):
-            x, p = _quadrature_ops(reg.dims[m])
-            ops.append((m, x))
-            ops.append((m, p))
-        psi = state.tensorized()
-        transformed = [_apply_on_axes(psi, op, (axis,)).reshape(-1) for axis, op in ops]
-        flat = psi.reshape(-1)
-        means = np.array([np.vdot(flat, v).real for v in transformed])
-        second = np.empty((2 * M, 2 * M))
-        for j in range(2 * M):
-            for k in range(2 * M):
-                second[j, k] = np.vdot(transformed[j], transformed[k]).real
-    else:
-        rho = state.matrix
-        full = []
-        for label in reg.labels:
-            a = annihilation_matrix(reg, label)
-            full.append((a + a.conj().T) / 2)
-            full.append((a - a.conj().T) / 2j)
-        means = np.array([np.trace(rho @ op).real for op in full])
-        rho_ops = [rho @ op for op in full]
-        second = np.empty((2 * M, 2 * M))
-        for j in range(2 * M):
-            for k in range(2 * M):
-                second[j, k] = np.trace(full[j] @ rho_ops[k]).real
+    ops = []
+    for m in range(M):
+        x, p = _quadrature_ops(reg.dims[m])
+        ops.append((m, x))
+        ops.append((m, p))
+    # rho = W W^dag: every moment is a sum over the factor's columns
+    W = _factor_tensor(state)
+    transformed = [_apply_on_axes(W, op, (axis,)).reshape(-1) for axis, op in ops]
+    flat = W.reshape(-1)
+    means = np.array([np.vdot(flat, v).real for v in transformed])
+    second = np.empty((2 * M, 2 * M))
+    for j in range(2 * M):
+        for k in range(2 * M):
+            second[j, k] = np.vdot(transformed[j], transformed[k]).real
     second = (second + second.T) / 2
     cov = second - np.outer(means, means)
     return means, cov

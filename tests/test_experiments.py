@@ -150,6 +150,20 @@ def test_noise_amplifier_columns():
     assert abs(n[-1] - 1.3811) < 1e-4
 
 
+def test_noise_metadata_records_both_registries():
+    from fconv.devices import amplifier_required_cutoff
+
+    res = run_noise_comparison([0.0, 0.5], backend="fock")
+    c = max(amplifier_required_cutoff(0.5, tail_tol=1e-10), 5)
+    assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
+    assert res.metadata["converter_cutoffs"] == "pump=5;idler=5"
+    res = run_noise_comparison([0.0, 0.2], backend="fock", cutoff=7)
+    assert res.metadata["cutoffs"] == "signal=7;idler=7"
+    assert res.metadata["converter_cutoffs"] == "pump=7;idler=7"
+    res = run_noise_comparison([0.0, 0.5], backend="gaussian")
+    assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"
+
+
 # ---------------------------------------------------------------------------
 # depletion convergence
 

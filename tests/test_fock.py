@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import comb
 from scipy.stats import poisson
 
 from fconv import (
     CutoffTooSmall,
     DimensionMismatch,
+    FockDensityOp,
     ModeRegistry,
     OccupationExceedsCutoff,
+    PureState,
     TransmissionOutOfRange,
     UnknownMode,
     apply_loss,
@@ -19,15 +26,21 @@ from fconv import (
     partial_trace,
     product_state,
     quadrature_variance,
+    reduced_density,
     to_density,
 )
-from fconv.devices import Amplifier, Converter, apply_device
+from fconv.devices import (
+    Amplifier,
+    Converter,
+    TrilinearCoupler,
+    apply_device,
+    converter_generator,
+    trilinear_generator,
+)
 from fconv.fock import COHERENT_TAIL_TOL, coherent_required_cutoff, poisson_tails
 
 
 def random_density(registry, rng):
-    from fconv import FockDensityOp
-
     d = registry.dim
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
@@ -215,11 +228,10 @@ def test_loss_composition():
     assert abs(np.trace(twice.matrix) - 1) < 1e-10
 
 
-def kraus_loss_reference(rho, axis, transmission):
+def dense_loss(rho, dims, axis, transmission):
     # independent oracle: sum_k K_k rho K_k^dag with full-space Kraus operators
-    dims = rho.registry.dims
     d = dims[axis]
-    out = np.zeros_like(rho.matrix)
+    out = np.zeros_like(rho)
     for k in range(d):
         K = np.zeros((d, d))
         for n in range(k, d):
@@ -227,8 +239,12 @@ def kraus_loss_reference(rho, axis, transmission):
         full = np.array([[1.0]])
         for i, di in enumerate(dims):
             full = np.kron(full, K if i == axis else np.eye(di))
-        out += full @ rho.matrix @ full.T
+        out += full @ rho @ full.T
     return out
+
+
+def kraus_loss_reference(rho, axis, transmission):
+    return dense_loss(rho.matrix, rho.registry.dims, axis, transmission)
 
 
 @pytest.mark.parametrize("mode", ["a", "b"])
@@ -294,6 +310,132 @@ def test_partial_trace_unknown_mode():
     reg = ModeRegistry([("a", 1.0, 2)])
     with pytest.raises(UnknownMode):
         partial_trace(to_density(make_vacuum(reg)), ["zz"])
+
+
+# ---------------------------------------------------------------------------
+# density operators stored as the factor W of rho = W W^dag
+
+
+def dense(state):
+    if isinstance(state, FockDensityOp):
+        return state.matrix
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
+def dense_partial_trace(rho, dims, keep_axes):
+    # independent oracle: move the kept axes first on both sides, then trace
+    # the remaining row index against the remaining column index
+    m = len(dims)
+    rest = [i for i in range(m) if i not in keep_axes]
+    order = list(keep_axes) + rest
+    t = rho.reshape(dims + dims).transpose(order + [m + i for i in order])
+    dk = int(np.prod([dims[i] for i in keep_axes]))
+    dr = int(np.prod([dims[i] for i in rest]))
+    return np.einsum("arbr->ab", t.reshape(dk, dr, dk, dr))
+
+
+def dense_device(rho, registry, dev, generator, strength):
+    # independent oracle: U rho U^dag with U the dense expm of the
+    # Kronecker-built generator on the full registry
+    U = expm(strength * generator(registry, dev))
+    return U @ rho @ U.conj().T
+
+
+LABELS = ("a", "b", "c")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_factor_path_matches_dense_reference(data):
+    cutoffs = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="cutoffs")
+    reg = ModeRegistry([(lab, 1.0 + i, c) for i, (lab, c) in enumerate(zip(LABELS, cutoffs))])
+    rank = data.draw(st.integers(1, reg.dim), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    W = rng.standard_normal((reg.dim, rank)) + 1j * rng.standard_normal((reg.dim, rank))
+    W /= np.linalg.norm(W)
+    if rank == 1 and data.draw(st.booleans(), label="pure"):
+        state = PureState(reg, W[:, 0])
+    else:
+        state = FockDensityOp(reg, factor=W)
+    rho = W @ W.conj().T
+    for _ in range(data.draw(st.integers(1, 5), label="steps")):
+        reg = state.registry
+        kind = data.draw(st.sampled_from(["loss", "device", "reduce"]))
+        if kind == "loss":
+            mode = data.draw(st.sampled_from(reg.labels))
+            T = data.draw(st.floats(0.0, 1.0))
+            state = apply_loss(state, mode, T)
+            rho = dense_loss(rho, reg.dims, reg.index(mode), T)
+        elif kind == "device" and reg.num_modes >= 2:
+            modes = data.draw(st.permutations(reg.labels))
+            strength = data.draw(st.floats(0.0, 2.0))
+            phase = data.draw(st.floats(-np.pi, np.pi))
+            if reg.num_modes == 3 and data.draw(st.booleans()):
+                dev, gen = TrilinearCoupler(*modes, strength, phase), trilinear_generator
+            else:
+                dev, gen = Converter(modes[0], modes[1], strength, phase), converter_generator
+            state = apply_device(state, dev)
+            rho = dense_device(rho, reg, dev, gen, strength)
+        elif kind == "reduce":
+            keep = data.draw(st.lists(st.sampled_from(reg.labels), min_size=1, unique=True))
+            state = reduced_density(state, keep)
+            rho = dense_partial_trace(rho, reg.dims, [reg.index(lab) for lab in keep])
+        if isinstance(state, FockDensityOp):
+            assert state.factor.shape[1] <= state.registry.dim
+        assert np.max(np.abs(dense(state) - rho)) < 1e-12
+
+
+def test_factor_width_stays_within_dim_under_repeated_loss():
+    rng = np.random.default_rng(13)
+    reg = ModeRegistry([("a", 1.0, 3), ("b", 1.0, 2)])
+    state = random_density(reg, rng)
+    rho = state.matrix
+    for step in range(8):
+        mode = "ab"[step % 2]
+        state = apply_loss(state, mode, 0.8)
+        rho = dense_loss(rho, reg.dims, reg.index(mode), 0.8)
+        assert state.factor.shape[1] <= reg.dim
+    assert np.max(np.abs(state.matrix - rho)) < 1e-12
+
+
+def test_density_from_matrix_rejects_negative_eigenvalue():
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rho = (q * [0.6 + 1e-6, 0.3, 0.1, -1e-6]) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2  # Hermitian, unit trace, eigenvalue -1e-6
+    with pytest.raises(ValueError, match="eigenvalue"):
+        FockDensityOp(ModeRegistry([("a", 1.0, 3)]), rho)
+
+
+def test_density_from_factor_checks_shape_and_norm():
+    reg = ModeRegistry([("a", 1.0, 2)])
+    with pytest.raises(DimensionMismatch):
+        FockDensityOp(reg, factor=np.ones((2, 1)) / np.sqrt(2))
+    with pytest.raises(ValueError):
+        FockDensityOp(reg, factor=np.ones((3, 2)))
+    with pytest.raises(TypeError):
+        FockDensityOp(reg)
+    # a factor wider than tall is narrowed without changing rho
+    W = np.random.default_rng(19).standard_normal((3, 7)) + 0j
+    W /= np.linalg.norm(W)
+    rho = FockDensityOp(reg, factor=W)
+    assert rho.factor.shape == (3, 3)
+    assert np.max(np.abs(rho.matrix - W @ W.conj().T)) < 1e-15
+
+
+def test_loss_on_large_coherent_state_allocates_little():
+    # alpha = 5 needs cutoff 63; a (d^2, d^2) loss superoperator would take 256 MB
+    c = coherent_required_cutoff(5.0)
+    assert c == 63
+    state = make_coherent(ModeRegistry([("a", 1.0, c)]), "a", 5.0)
+    tracemalloc.start()
+    try:
+        out = apply_loss(state, "a", 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert abs(mean_photon(out, "a") - 12.5) < 1e-8
 
 
 # ---------------------------------------------------------------------------
