@@ -53,6 +53,7 @@ from .gaussian import (
     coherent_gaussian,
     gaussian_apply,
     gaussian_mean_photon,
+    gaussian_quadrature_variance,
     moments_from_fock,
     symplectic_form,
     vacuum_gaussian,

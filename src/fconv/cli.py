@@ -268,6 +268,10 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"FCONV_DEFAULT_CUTOFF={env!r} is not an integer") from None
     if cutoff is not None and cutoff < 1:
         parser.error(f"cutoff must be >= 1, got {cutoff}")
+    if params.get("points", 1) < 1:
+        raise ValueError(f"points must be >= 1, got {params['points']}")
+    if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
+        raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
     output = ns.output or file_cfg.get("output") or f"{ns.experiment}.csv"
     return RunConfig(ns.experiment, backend, cutoff, params, output)
 

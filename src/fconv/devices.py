@@ -33,12 +33,13 @@ constructors guard against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import CutoffTooSmall, NonGaussianDevice
+from .errors import CutoffTooSmall
 from .fock import State, annihilation_matrix, apply_loss, apply_matrix
 from .registry import ModeRegistry
 
@@ -51,7 +52,7 @@ class Converter:
     phi_s: float = 0.0
 
     def __post_init__(self):
-        if self.theta < 0:
+        if not self.theta >= 0:
             raise ValueError("theta must be >= 0; phases carry all sign structure")
         if self.pump_mode == self.idler_mode:
             raise ValueError("converter modes must be distinct")
@@ -74,7 +75,7 @@ class Amplifier:
     phi_p: float = 0.0
 
     def __post_init__(self):
-        if self.squeeze < 0:
+        if not self.squeeze >= 0:
             raise ValueError("squeeze must be >= 0; phases carry all sign structure")
         if self.signal_mode == self.idler_mode:
             raise ValueError("amplifier modes must be distinct")
@@ -97,7 +98,7 @@ class TrilinearCoupler:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.eta_tau < 0:
+        if not self.eta_tau >= 0:
             raise ValueError("eta_tau must be >= 0; phases carry all sign structure")
         if len({self.pump_mode, self.signal_mode, self.idler_mode}) != 3:
             raise ValueError("trilinear coupler modes must be distinct")
@@ -249,54 +250,44 @@ def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# applying devices to Fock states
-
-
-def apply_device(state: State, dev: Device) -> State:
-    """Apply one device to a Fock-backend state.
-
-    Unitary devices are built on the sub-registry of their own modes and
-    contracted onto the state tensor, so large spectator modes never inflate
-    the exponentiated matrix.
-    """
-    reg = state.registry
-    if isinstance(dev, Attenuator):
-        return apply_loss(state, dev.mode, dev.transmission)
-    sub = reg.subregistry(dev.modes)
-    U = device_unitary(sub, dev)
-    return apply_matrix(state, U, dev.modes)
+# running circuits
 
 
 def compile_circuit(circuit: Circuit, backend: str = "fock"):
     """Left-to-right composition of the circuit's devices as a pure function.
 
-    backend="fock" returns PureState/FockDensityOp -> State;
-    backend="gaussian" returns GaussianState -> GaussianState and rejects
-    non-Gaussian devices up front.
+    backend="fock" returns PureState/FockDensityOp -> State.  Each unitary
+    device is exponentiated here, once, on the sub-registry of its own modes,
+    so large spectator modes never inflate the exponentiated matrix and
+    running the compiled circuit only contracts the unitaries onto the state.
+    backend="gaussian" returns GaussianState -> GaussianState; a non-Gaussian
+    device raises NonGaussianDevice when the circuit runs.
     """
     if backend == "fock":
-        devices = circuit.devices
+        reg = circuit.registry
+        steps = [
+            (dev, None)
+            if isinstance(dev, Attenuator)
+            else (dev, device_unitary(reg.subregistry(dev.modes), dev))
+            for dev in circuit.devices
+        ]
 
         def run_fock(state: State) -> State:
-            for dev in devices:
-                state = apply_device(state, dev)
+            for dev, U in steps:
+                if U is None:
+                    state = apply_loss(state, dev.mode, dev.transmission)
+                else:
+                    state = apply_matrix(state, U, dev.modes)
             return state
 
         return run_fock
     if backend == "gaussian":
-        for dev in circuit.devices:
-            if isinstance(dev, TrilinearCoupler):
-                raise NonGaussianDevice(
-                    "trilinear coupler is not a Gaussian transformation"
-                )
-        from .gaussian import gaussian_apply
+        from .gaussian import gaussian_apply  # gaussian imports this module
 
-        devices = circuit.devices
-
-        def run_gaussian(state):
-            for dev in devices:
-                state = gaussian_apply(state, dev)
-            return state
-
-        return run_gaussian
+        return lambda state: functools.reduce(gaussian_apply, circuit.devices, state)
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def apply_device(state: State, dev: Device) -> State:
+    """Apply one device to a Fock-backend state."""
+    return compile_circuit(Circuit(state.registry, (dev,)))(state)

@@ -15,15 +15,16 @@ import numpy as np
 from .devices import (
     Amplifier,
     Attenuator,
+    Circuit,
     Converter,
     TrilinearCoupler,
+    amplifier_required_cutoff,
     apply_device,
-    device_unitary,
+    compile_circuit,
 )
 from .errors import EnergyConservationViolation
 from .fock import (
     PureState,
-    apply_matrix,
     coherent_required_cutoff,
     fidelity_pure_mixed,
     make_coherent,
@@ -34,7 +35,7 @@ from .fock import (
     quadrature_variance,
     reduced_density,
 )
-from .gaussian import coherent_gaussian, gaussian_apply, gaussian_mean_photon, vacuum_gaussian
+from .gaussian import coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
 from .registry import ModeRegistry
 
 
@@ -89,6 +90,20 @@ class WdmSpec:
         return tuple(self.pump_frequency - f for f, _, _ in self.channels)
 
 
+def _backend(name: str):
+    """(prepare, mean_photon, quadrature_variance) of one backend, where
+    prepare(registry, {label: alpha}) is a coherent state, vacuum elsewhere.
+
+    Read from this module's bindings on each call, not from a table, so a
+    wrapper on one of those names (such as the benchmark tracer) sees it.
+    """
+    if name == "fock":
+        return make_coherent, mean_photon, quadrature_variance
+    if name == "gaussian":
+        return coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+    raise ValueError(f"unknown backend {name!r}")
+
+
 def _cutoffs(registry: ModeRegistry) -> str:
     return ";".join(f"{m.label}={m.cutoff}" for m in registry.modes)
 
@@ -125,26 +140,17 @@ def run_linearity(
     if noise_floor < 0:
         raise ValueError("noise_floor must be >= 0")
 
+    prepare, photons, _ = _backend(backend)
     c = cutoff if cutoff is not None else coherent_required_cutoff(alpha_pump)
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c)])
-    att = lambda T: Attenuator("pump", T)
     conv = Converter("pump", "idler", theta)
+    pump = prepare(registry, {"pump": alpha_pump})
 
     rows = []
     for T in ts:
-        if backend == "fock":
-            state = make_coherent(registry, "pump", alpha_pump)
-            state = apply_device(state, att(T))
-            state = apply_device(state, conv)
-            n_i = mean_photon(state, "idler")
-        elif backend == "gaussian":
-            g = coherent_gaussian(registry, {"pump": alpha_pump})
-            g = gaussian_apply(g, att(T))
-            g = gaussian_apply(g, conv)
-            n_i = gaussian_mean_photon(g, "idler")
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        rows.append((T, (n_i + noise_floor,)))
+        # compiled inline, so each point's unitary is freed before the next is built
+        out = compile_circuit(Circuit(registry, (Attenuator("pump", T), conv)), backend)(pump)
+        rows.append((T, (photons(out, "idler") + noise_floor,)))
 
     return ScanResult(
         name="linearity",
@@ -176,36 +182,20 @@ def run_fringe(
     Degenerate configuration: the idler and the reference sit at half the pump
     frequency, so they interfere directly.
     """
+    prepare, photons, _ = _backend(backend)
     phis = [float(p) for p in phi_p_points]
     amax = max(abs(alpha_pump), abs(alpha_ref)) + 1e-12
     c = cutoff if cutoff is not None else coherent_required_cutoff(amax * np.sqrt(2))
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
     conv = Converter("pump", "idler", theta, phi_s)
     combiner = Converter("idler", "ref", np.pi / 4)
-    if backend == "fock":
-        # both devices are fixed across the scan; exponentiate them once
-        u_conv = device_unitary(registry.subregistry(conv.modes), conv)
-        u_comb = device_unitary(registry.subregistry(combiner.modes), combiner)
+    run = compile_circuit(Circuit(registry, (conv, combiner)), backend)
 
     rows = []
     for phi_p in phis:
         a_p = alpha_pump * np.exp(1j * phi_p)
-        if backend == "fock":
-            pump = make_coherent(ModeRegistry([("pump", 2.0, c)]), "pump", a_p)
-            idler = make_vacuum(ModeRegistry([("idler", 1.0, c)]))
-            ref = make_coherent(ModeRegistry([("ref", 1.0, c)]), "ref", alpha_ref)
-            state = product_state(pump, idler, ref)
-            state = apply_matrix(state, u_conv, conv.modes)
-            state = apply_matrix(state, u_comb, combiner.modes)
-            out = mean_photon(state, "idler")
-        elif backend == "gaussian":
-            g = coherent_gaussian(registry, {"pump": a_p, "ref": alpha_ref})
-            g = gaussian_apply(g, conv)
-            g = gaussian_apply(g, combiner)
-            out = gaussian_mean_photon(g, "idler")
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        rows.append((phi_p, (out,)))
+        state = run(prepare(registry, {"pump": a_p, "ref": alpha_ref}))
+        rows.append((phi_p, (photons(state, "idler"),)))
 
     return ScanResult(
         name="fringe",
@@ -253,11 +243,10 @@ def run_noise_comparison(
     Amplifier(squeeze=s): idler variance grows as (2 sinh^2 s + 1)/4 and the
     idler fills with sinh^2 s spontaneous photons -- the a^dag-term noise.
     """
+    prepare, photons, variance = _backend(backend)
     ss = [float(s) for s in strength_points]
     if any(s < 0 for s in ss):
         raise ValueError("strengths must be >= 0")
-
-    from .devices import amplifier_required_cutoff
 
     if backend == "fock":
         # the retained two-mode-squeezed tail feeds straight into the variance
@@ -273,28 +262,18 @@ def run_noise_comparison(
         c_amp = c_conv = cutoff if cutoff is not None else 1
     reg_conv = ModeRegistry([("pump", 2.0, c_conv), ("idler", 1.0, c_conv)])
     reg_amp = ModeRegistry([("signal", 1.2, c_amp), ("idler", 0.8, c_amp)])
+    vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
 
     rows = []
     for s in ss:
-        conv = Converter("pump", "idler", s)
-        amp = Amplifier("signal", "idler", s)
-        if backend == "fock":
-            cstate = apply_device(make_vacuum(reg_conv), conv)
-            astate = apply_device(make_vacuum(reg_amp), amp)
-            v_conv = quadrature_variance(cstate, "idler", 0.0)
-            v_amp = quadrature_variance(astate, "idler", 0.0)
-            n_amp = mean_photon(astate, "idler")
-        elif backend == "gaussian":
-            cstate = gaussian_apply(vacuum_gaussian(reg_conv), conv)
-            astate = gaussian_apply(vacuum_gaussian(reg_amp), amp)
-            i_c = reg_conv.index("idler")
-            i_a = reg_amp.index("idler")
-            v_conv = float(cstate.cov[2 * i_c, 2 * i_c])
-            v_amp = float(astate.cov[2 * i_a, 2 * i_a])
-            n_amp = gaussian_mean_photon(astate, "idler")
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        rows.append((s, (v_conv, v_amp, n_amp)))
+        # compiled circuits are dropped once run, so only one unitary is held at a time
+        conv = Circuit(reg_conv, (Converter("pump", "idler", s),))
+        amp = Circuit(reg_amp, (Amplifier("signal", "idler", s),))
+        cstate = compile_circuit(conv, backend)(vac_conv)
+        astate = compile_circuit(amp, backend)(vac_amp)
+        v_conv = variance(cstate, "idler", 0.0)
+        v_amp = variance(astate, "idler", 0.0)
+        rows.append((s, (v_conv, v_amp, photons(astate, "idler"))))
 
     return ScanResult(
         name="noise_comparison",
@@ -340,9 +319,9 @@ def run_depletion_convergence(
 
     # linearized prediction: same pump input through a converter at theta
     reg2 = ModeRegistry([("pump", 2.0, c_p), ("idler", 1.0, c_p)])
-    pump2 = PureState(ModeRegistry([("pump", 2.0, c_p)]), pump_input.amplitudes)
+    pump = PureState(ModeRegistry([("pump", 2.0, c_p)]), pump_input.amplitudes)
     target = apply_device(
-        product_state(pump2, make_vacuum(ModeRegistry([("idler", 1.0, c_p)]))),
+        product_state(pump, make_vacuum(ModeRegistry([("idler", 1.0, c_p)]))),
         Converter("pump", "idler", theta),
     )
 
@@ -351,15 +330,11 @@ def run_depletion_convergence(
         c_s = signal_cutoff
         if c_s is None:
             c_s = max(DEPLETION_SIGNAL_CUTOFF_FLOOR, coherent_required_cutoff(a_s))
-        pump1 = PureState(ModeRegistry([("pump", 2.0, c_p)]), pump_input.amplitudes)
-        signal = make_coherent(ModeRegistry([("signal", 1.0, c_s)]), "signal", a_s)
-        idler = make_vacuum(ModeRegistry([("idler", 1.0, c_p)]))
-        state = product_state(pump1, signal, idler)
+        signal_idler = ModeRegistry([("signal", 1.0, c_s), ("idler", 1.0, c_p)])
+        state = product_state(pump, make_coherent(signal_idler, {"signal": a_s}))
         coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)
-        state = apply_device(state, coupler)
-        reduced = reduced_density(state, ["pump", "idler"])
-        fid = fidelity_pure_mixed(target, reduced)
-        rows.append((a_s, (fid,)))
+        reduced = reduced_density(apply_device(state, coupler), ["pump", "idler"])
+        rows.append((a_s, (fidelity_pure_mixed(target, reduced),)))
 
     return ScanResult(
         name="depletion_convergence",
@@ -388,9 +363,14 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
         modes.append((f"idler{k}", f_i, 1))
     registry = ModeRegistry(modes)
 
-    state = make_fock(registry, [1] + [0] * K)
-    for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1):
-        state = apply_device(state, Converter("pump", f"idler{k}", theta_k, phi_k))
+    cascade = Circuit(
+        registry,
+        tuple(
+            Converter("pump", f"idler{k}", theta_k, phi_k)
+            for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1)
+        ),
+    )
+    state = compile_circuit(cascade)(make_fock(registry, [1] + [0] * K))
 
     amp = state.tensorized()
     c = np.zeros(K + 1, dtype=complex)

@@ -182,14 +182,8 @@ def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> 
     return 1 + int(np.argmax(poisson_tails(abs(alpha) ** 2)[1:] <= tol))
 
 
-def make_coherent(registry: ModeRegistry, mode: str, alpha: complex) -> PureState:
-    """Truncated coherent state |alpha> in one mode, vacuum elsewhere.
-
-    Fails loudly (CutoffTooSmall) if the discarded Poisson tail mass exceeds
-    COHERENT_TAIL_TOL, rather than silently renormalizing a bad truncation.
-    """
-    m = registry.index(mode)
-    cutoff = registry.cutoffs[m]
+def _coherent_vector(mode: str, cutoff: int, alpha: complex) -> np.ndarray:
+    """Normalized amplitudes of |alpha> on levels 0..cutoff of one mode."""
     mu = abs(alpha) ** 2
     tails = poisson_tails(mu)
     tail = tails[min(cutoff, len(tails) - 1)]
@@ -208,10 +202,27 @@ def make_coherent(registry: ModeRegistry, mode: str, alpha: complex) -> PureStat
     else:
         vec = np.zeros(cutoff + 1, dtype=complex)
         vec[0] = 1.0
-    vec = vec / np.linalg.norm(vec)
+    return vec / np.linalg.norm(vec)
+
+
+def make_coherent(registry: ModeRegistry, alphas: dict[str, complex]) -> PureState:
+    """Product of truncated coherent states, one amplitude per mode label;
+    unlisted modes are vacuum.
+
+    Fails loudly (CutoffTooSmall) if a mode's discarded Poisson tail mass
+    exceeds COHERENT_TAIL_TOL, rather than silently renormalizing a bad
+    truncation.
+    """
+    for label in alphas:
+        registry.index(label)  # raises UnknownMode
+    # the coherent factors fill the listed axes; vacuum axes stay at level 0
+    listed = np.ones((), dtype=complex)
+    for mode in registry.modes:
+        if mode.label in alphas:
+            vec = _coherent_vector(mode.label, mode.cutoff, alphas[mode.label])
+            listed = np.multiply.outer(listed, vec)
     full = np.zeros(registry.dims, dtype=complex)
-    sl = tuple(slice(None) if i == m else 0 for i in range(registry.num_modes))
-    full[sl] = vec
+    full[tuple(slice(None) if m.label in alphas else 0 for m in registry.modes)] = listed
     return PureState(registry, full.reshape(-1))
 
 

@@ -131,6 +131,15 @@ def gaussian_mean_photon(state: GaussianState, mode: str) -> float:
     return float(vx + vp - 0.5 + x**2 + p**2)
 
 
+def gaussian_quadrature_variance(state: GaussianState, mode: str, phase: float) -> float:
+    """Variance of X_phi = x cos(phi) + p sin(phi), the Fock backend's
+    (a e^{-i phi} + a^dag e^{i phi}) / 2; exactly V_xx at phase 0."""
+    i = 2 * state.registry.index(mode)
+    V = state.cov
+    c, s = np.cos(phase), np.sin(phase)
+    return float(c * c * V[i, i] + 2 * c * s * V[i, i + 1] + s * s * V[i + 1, i + 1])
+
+
 # ---------------------------------------------------------------------------
 # cross-backend bridge: first and second quadrature moments of a Fock state
 

@@ -199,7 +199,7 @@ def test_cross_backend_agreement_on_random_circuits():
             Converter("b", "c", float(rng.uniform(0, np.pi))),
         ]
         fs = product_state(
-            *(make_coherent(ModeRegistry([(m, 1.0, cut)]), m, alphas[m]) for m in ("a", "b", "c"))
+            *(make_coherent(ModeRegistry([(m, 1.0, cut)]), {m: alphas[m]}) for m in ("a", "b", "c"))
         )
         g = coherent_gaussian(reg3, alphas)
         for dev in devs:
@@ -220,7 +220,7 @@ def test_cross_backend_agreement_on_random_circuits():
             Converter("a", "b", float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))),
         ]
         fs = product_state(
-            *(make_coherent(ModeRegistry([(m, 1.0, cut)]), m, alphas[m]) for m in ("a", "b"))
+            *(make_coherent(ModeRegistry([(m, 1.0, cut)]), {m: alphas[m]}) for m in ("a", "b"))
         )
         g = coherent_gaussian(reg2, alphas)
         for dev in devs:

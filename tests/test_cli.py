@@ -169,7 +169,7 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text, env_cutoff, experiment",
+    "config_text, env_cutoff, args",
     [
         (None, None, "wdm"),  # --config names a missing file
         ("{not json", None, "wdm"),
@@ -183,6 +183,13 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
         ('{"alpha_s": 3}', None, "depletion"),
         ('{"channel": [[1.1, "a"]]}', None, "wdm"),
         ('{"output": 5}', None, "wdm"),
+        ('{"theta_eff": 2, "backend": "gaussian"}', None, "linearity"),
+        ('{"theta_eff": NaN, "backend": "gaussian"}', None, "linearity"),
+        ("{}", None, "linearity --backend gaussian --theta-eff 2"),
+        ("{}", None, "linearity --backend gaussian --theta-eff -0.5"),
+        ('{"points": 0}', None, "fringe"),
+        ("{}", None, "fringe --points 0"),
+        ("{}", None, "noise --backend gaussian --points 0"),
     ],
     ids=[
         "missing-file",
@@ -197,21 +204,42 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
         "scalar-alpha-s",
         "string-in-channel",
         "integer-output",
+        "config-theta-eff-above-1",
+        "config-theta-eff-nan",
+        "flag-theta-eff-above-1",
+        "flag-theta-eff-negative",
+        "config-zero-points",
+        "flag-zero-points",
+        "flag-zero-points-noise",
     ],
 )
 def test_main_bad_config_is_one_line_and_exit_1(
-    config_text, env_cutoff, experiment, tmp_path, monkeypatch, capsys
+    config_text, env_cutoff, args, tmp_path, monkeypatch, capsys
 ):
     cfgfile = tmp_path / "cfg.json"
     if config_text is not None:
         cfgfile.write_text(config_text)
     if env_cutoff is not None:
         monkeypatch.setenv("FCONV_DEFAULT_CUTOFF", env_cutoff)
-    rc = main(["--config", str(cfgfile), experiment, "-o", str(tmp_path / "w.csv")])
+    rc = main(["--config", str(cfgfile), *args.split(), "-o", str(tmp_path / "w.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("fconv: ") and err.count("\n") == 1
     assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["linearity", "--theta-eff", "2"], "theta_eff must lie in [0, 1], got 2.0"),
+        (["noise", "--points", "0"], "points must be >= 1, got 0"),
+    ],
+    ids=["theta-eff", "points"],
+)
+def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):
+    # unchecked, both runs fail deep inside the Fock backend with unrelated messages
+    assert main(argv + ["-o", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"fconv: {message}\n"
 
 
 def test_config_values_take_their_flag_types(tmp_path):
@@ -235,7 +263,9 @@ def test_config_values_take_their_flag_types(tmp_path):
 
 def test_main_runs_without_scipy(tmp_path):
     # the runtime depends on numpy alone: with every scipy import made to
-    # fail, all five experiments still run at their default flags
+    # fail, all five experiments still run at their default flags, and the
+    # Fock and Gaussian backends agree on every runner that has both
+    # (main exits 2 when they differ by more than 1e-7)
     import fconv
 
     script = f"""
@@ -244,7 +274,8 @@ sys.modules["scipy"] = None  # any `import scipy...` now raises ImportError
 import fconv.cli
 leaked = sorted(m for m in sys.modules if m.startswith("scipy") and sys.modules[m] is not None)
 assert not leaked, leaked
-runs = [[e] for e in {list(fconv.cli.EXPERIMENTS)!r}] + [["noise", "--backend", "both"]]
+runs = [[e] for e in {list(fconv.cli.EXPERIMENTS)!r}]
+runs += [[e, "--backend", "both"] for e in ("linearity", "fringe", "noise")]
 for argv in runs:
     rc = fconv.cli.main(argv + ["-o", "-".join(argv) + ".csv"])
     assert rc == 0, (argv, rc)
@@ -255,4 +286,4 @@ for argv in runs:
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(list(tmp_path.glob("*.csv"))) == 7
+    assert len(list(tmp_path.glob("*.csv"))) == 11

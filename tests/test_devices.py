@@ -22,6 +22,7 @@ from fconv import (
     make_vacuum,
     mean_photon,
     product_state,
+    vacuum_gaussian,
 )
 from fconv.devices import (
     amplifier_generator,
@@ -322,6 +323,15 @@ def test_device_validation():
         TrilinearCoupler("p", "s", "p", 0.1)
     with pytest.raises(ValueError):
         Attenuator("a", 1.2)
+    # NaN fails every comparison, so it must not slip past a sign check
+    for make in (
+        lambda: Converter("p", "i", np.nan),
+        lambda: Amplifier("s", "i", np.nan),
+        lambda: TrilinearCoupler("p", "s", "i", np.nan),
+        lambda: Attenuator("a", np.nan),
+    ):
+        with pytest.raises(ValueError):
+            make()
     reg = ModeRegistry([("p", 2.0, 2), ("i", 1.0, 2)])
     with pytest.raises(UnknownMode):
         Circuit(reg, [Converter("p", "zz", 0.5)])
@@ -330,7 +340,7 @@ def test_device_validation():
 def test_empty_circuit_is_identity():
     reg = ModeRegistry([("p", 2.0, 12), ("i", 1.0, 12)])
     run = compile_circuit(Circuit(reg, []))
-    v = make_coherent(reg, "p", 0.4)
+    v = make_coherent(reg, {"p": 0.4})
     assert np.allclose(run(v).amplitudes, v.amplitudes)
 
 
@@ -341,7 +351,7 @@ def test_attenuated_conversion_closed_form():
     run = compile_circuit(
         Circuit(reg, [Attenuator("p", T), Converter("p", "i", theta)])
     )
-    out = run(make_coherent(reg, "p", alpha))
+    out = run(make_coherent(reg, {"p": alpha}))
     assert abs(mean_photon(out, "i") - T * alpha**2 * np.sin(theta) ** 2) < 1e-9
 
 
@@ -351,7 +361,7 @@ def test_converter_composition_adds_angles():
         Circuit(reg, [Converter("p", "i", 0.4), Converter("p", "i", 0.7)])
     )
     single = compile_circuit(Circuit(reg, [Converter("p", "i", 1.1)]))
-    start = make_coherent(reg, "p", 0.5)
+    start = make_coherent(reg, {"p": 0.5})
     a = seq(start).amplitudes
     b = single(start).amplitudes
     assert np.max(np.abs(a - b)) < 1e-9
@@ -359,16 +369,18 @@ def test_converter_composition_adds_angles():
 
 def test_phase_shift_on_coherent():
     reg = ModeRegistry([("a", 1.0, 15)])
-    out = apply_device(make_coherent(reg, "a", 1.0), PhaseShift("a", 0.9))
-    target = make_coherent(reg, "a", np.exp(0.9j))
+    out = apply_device(make_coherent(reg, {"a": 1.0}), PhaseShift("a", 0.9))
+    target = make_coherent(reg, {"a": np.exp(0.9j)})
     assert fidelity(out, target) > 1 - 1e-10
 
 
 def test_gaussian_compile_rejects_trilinear():
+    # compiling succeeds; the Gaussian backend rejects the device when it runs
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
     circ = Circuit(reg, [TrilinearCoupler("p", "s", "i", 0.3)])
+    run = compile_circuit(circ, backend="gaussian")
     with pytest.raises(NonGaussianDevice):
-        compile_circuit(circ, backend="gaussian")
+        run(vacuum_gaussian(reg))
 
 
 def test_subregistry_application_matches_full_space():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import fconv.devices
 from fconv import (
+    Circuit,
     EnergyConservationViolation,
     ModeRegistry,
     ScanResult,
     WdmSpec,
+    compile_circuit,
     fringe_visibility,
     make_fock,
     make_vacuum,
@@ -24,6 +27,49 @@ def test_scanresult_checks_shape_and_monotonicity():
         ScanResult("x", "t", ("a",), ((0.0, (1.0,)), (0.0, (2.0,))))
     r = ScanResult("x", "t", ("a",), ((0.0, (1.0,)), (1.0, (2.0,))))
     assert np.allclose(r.column("a"), [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# the backend seam: every runner compiles a Circuit for its backend
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda b: run_linearity([1.0, 0.5], 0.1, 1.0, backend=b),
+        lambda b: run_fringe([0.0, 1.0], 0.8, 0.3, 0.7, backend=b),
+        lambda b: run_noise_comparison([0.0, 0.5], backend=b),
+        lambda b: compile_circuit(Circuit(ModeRegistry([("a", 1.0, 2)]), ()), backend=b),
+    ],
+    ids=["linearity", "fringe", "noise", "compile_circuit"],
+)
+def test_unknown_backend_rejected(run):
+    with pytest.raises(ValueError, match="unknown backend 'qutip'"):
+        run("qutip")
+
+
+@pytest.fixture
+def unitary_builds(monkeypatch):
+    """Counts the device unitaries built while the test runs."""
+    built = []
+    original = fconv.devices.device_unitary
+
+    def counting(registry, dev):
+        built.append(dev)
+        return original(registry, dev)
+
+    monkeypatch.setattr(fconv.devices, "device_unitary", counting)
+    return built
+
+
+def test_fringe_builds_each_unitary_once_per_scan(unitary_builds):
+    run_fringe(np.linspace(0, 2 * np.pi, 16, endpoint=False), 0.8, 0.3, 0.7, 0.2)
+    assert len(unitary_builds) == 2
+
+
+def test_linearity_builds_one_unitary_per_transmission(unitary_builds):
+    run_linearity([1.0, 0.3, 0.1, 0.03, 0.01], theta=0.1, alpha_pump=1.0)
+    assert len(unitary_builds) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,13 @@ def test_make_fock_over_cutoff():
 
 def test_coherent_zero_is_vacuum():
     reg = ModeRegistry([("a", 1.0, 5)])
-    assert np.allclose(make_coherent(reg, "a", 0.0).amplitudes, make_vacuum(reg).amplitudes)
+    assert np.allclose(make_coherent(reg, {"a": 0.0}).amplitudes, make_vacuum(reg).amplitudes)
 
 
 def test_coherent_mean_photon_poisson_oracle():
     # oracle: truncated, renormalized Poisson mean computed from pmf directly
     reg = ModeRegistry([("a", 1.0, 30)])
-    c = make_coherent(reg, "a", 2.0)
+    c = make_coherent(reg, {"a": 2.0})
     n = np.arange(31)
     pmf = poisson.pmf(n, 4.0)
     oracle = float((n * pmf).sum() / pmf.sum())
@@ -126,7 +126,7 @@ def test_coherent_mean_photon_poisson_oracle():
 def test_coherent_cutoff_too_small():
     reg = ModeRegistry([("a", 1.0, 10)])
     with pytest.raises(CutoffTooSmall) as exc:
-        make_coherent(reg, "a", 4.0)
+        make_coherent(reg, {"a": 4.0})
     assert exc.value.required_cutoff > 10
 
 
@@ -152,10 +152,10 @@ def test_coherent_required_cutoff_matches_scipy_poisson():
 def test_make_coherent_raises_exactly_below_required_cutoff():
     for alpha in ORACLE_ALPHAS:
         need = scipy_required_cutoff(alpha)
-        make_coherent(ModeRegistry([("a", 1.0, need)]), "a", alpha)
+        make_coherent(ModeRegistry([("a", 1.0, need)]), {"a": alpha})
         if need > 1:
             with pytest.raises(CutoffTooSmall) as exc:
-                make_coherent(ModeRegistry([("a", 1.0, need - 1)]), "a", alpha)
+                make_coherent(ModeRegistry([("a", 1.0, need - 1)]), {"a": alpha})
             assert exc.value.required_cutoff == need
 
 
@@ -171,14 +171,31 @@ def test_poisson_tails_match_scipy_survival(mu):
 def test_coherent_complex_phase():
     reg = ModeRegistry([("a", 1.0, 25)])
     alpha = 1.3 * np.exp(0.7j)
-    c = make_coherent(reg, "a", alpha)
+    c = make_coherent(reg, {"a": alpha})
     # amplitude ratio c_1/c_0 = alpha
     assert np.isclose(c.amplitudes[1] / c.amplitudes[0], alpha)
 
 
+def test_make_coherent_multimode_is_the_product_state():
+    # listed modes in any order, unlisted modes vacuum, exactly the product
+    reg = ModeRegistry([("a", 1.0, 6), ("b", 1.0, 3), ("c", 1.0, 8)])
+    got = make_coherent(reg, {"c": 0.5j, "a": 0.3})
+    want = product_state(
+        make_coherent(ModeRegistry([("a", 1.0, 6)]), {"a": 0.3}),
+        make_vacuum(ModeRegistry([("b", 1.0, 3)])),
+        make_coherent(ModeRegistry([("c", 1.0, 8)]), {"c": 0.5j}),
+    )
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert np.array_equal(make_coherent(reg, {}).amplitudes, make_vacuum(reg).amplitudes)
+    with pytest.raises(UnknownMode):
+        make_coherent(reg, {"z": 1.0})
+    with pytest.raises(CutoffTooSmall, match="'c'"):
+        make_coherent(reg, {"a": 0.3, "c": 3.0})
+
+
 def test_to_density_properties():
     reg = ModeRegistry([("a", 1.0, 14)])
-    rho = to_density(make_coherent(reg, "a", 0.8))
+    rho = to_density(make_coherent(reg, {"a": 0.8}))
     assert abs(np.trace(rho.matrix) - 1) < 1e-10
     assert abs(np.trace(rho.matrix @ rho.matrix) - 1) < 1e-10  # purity
     assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) < 1e-12
@@ -202,7 +219,7 @@ def test_converter_pi_half_swaps_single_photon():
 
 def test_loss_identity_and_full():
     reg = ModeRegistry([("a", 1.0, 15)])
-    c = make_coherent(reg, "a", 1.0)
+    c = make_coherent(reg, {"a": 1.0})
     out1 = apply_loss(c, "a", 1.0)
     assert np.max(np.abs(out1.matrix - to_density(c).matrix)) < 1e-12
     out0 = apply_loss(c, "a", 0.0)
@@ -212,8 +229,8 @@ def test_loss_identity_and_full():
 def test_loss_on_coherent_is_scaled_coherent():
     reg = ModeRegistry([("a", 1.0, 20)])
     alpha, T = 1.2 + 0.5j, 0.37
-    out = apply_loss(make_coherent(reg, "a", alpha), "a", T)
-    target = make_coherent(reg, "a", np.sqrt(T) * alpha)
+    out = apply_loss(make_coherent(reg, {"a": alpha}), "a", T)
+    target = make_coherent(reg, {"a": np.sqrt(T) * alpha})
     fid = np.real(target.amplitudes.conj() @ out.matrix @ target.amplitudes)
     assert fid >= 1 - 1e-9
 
@@ -285,8 +302,8 @@ def test_partial_trace_keep_all():
 def test_partial_trace_product_state():
     regA = ModeRegistry([("a", 1.0, 12)])
     regB = ModeRegistry([("b", 1.0, 12)])
-    psiA = make_coherent(regA, "a", 0.7)
-    psiB = make_coherent(regB, "b", -0.4 + 0.2j)
+    psiA = make_coherent(regA, {"a": 0.7})
+    psiB = make_coherent(regB, {"b": -0.4 + 0.2j})
     rho = to_density(product_state(psiA, psiB))
     redA = partial_trace(rho, ["a"])
     assert np.max(np.abs(redA.matrix - to_density(psiA).matrix)) < 1e-12
@@ -427,7 +444,7 @@ def test_loss_on_large_coherent_state_allocates_little():
     # alpha = 5 needs cutoff 63; a (d^2, d^2) loss superoperator would take 256 MB
     c = coherent_required_cutoff(5.0)
     assert c == 63
-    state = make_coherent(ModeRegistry([("a", 1.0, c)]), "a", 5.0)
+    state = make_coherent(ModeRegistry([("a", 1.0, c)]), {"a": 5.0})
     tracemalloc.start()
     try:
         out = apply_loss(state, "a", 0.5)
@@ -457,7 +474,7 @@ def test_vacuum_variance_quarter(phi):
 @pytest.mark.parametrize("phi", [0.0, 0.9, 2.8])
 def test_coherent_variance_quarter(phi):
     reg = ModeRegistry([("a", 1.0, 25)])
-    c = make_coherent(reg, "a", 1.5 * np.exp(0.4j))
+    c = make_coherent(reg, {"a": 1.5 * np.exp(0.4j)})
     assert abs(quadrature_variance(c, "a", phi) - 0.25) < 1e-9
 
 
@@ -481,7 +498,7 @@ def test_fidelity_basics():
 def test_fidelity_coherent_overlap():
     reg = ModeRegistry([("a", 1.0, 30)])
     a, b = 0.9 + 0.3j, -0.2 + 0.8j
-    f = fidelity(make_coherent(reg, "a", a), make_coherent(reg, "a", b))
+    f = fidelity(make_coherent(reg, {"a": a}), make_coherent(reg, {"a": b}))
     assert abs(f - np.exp(-abs(a - b) ** 2)) < 1e-8
 
 

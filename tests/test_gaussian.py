@@ -14,10 +14,12 @@ from fconv import (
     coherent_gaussian,
     gaussian_apply,
     gaussian_mean_photon,
+    gaussian_quadrature_variance,
     make_coherent,
     make_vacuum,
     mean_photon,
     moments_from_fock,
+    quadrature_variance,
     symplectic_form,
     vacuum_gaussian,
 )
@@ -40,7 +42,7 @@ def test_coherent_calibration():
     reg = ModeRegistry([("a", 1.0, 15)])
     g = coherent_gaussian(reg, {"a": 1.0})
     assert abs(gaussian_mean_photon(g, "a") - 1.0) < 1e-12
-    f = make_coherent(reg, "a", 1.0)
+    f = make_coherent(reg, {"a": 1.0})
     assert abs(mean_photon(f, "a") - 1.0) < 1e-9
 
 
@@ -139,8 +141,8 @@ def test_random_circuit_cross_backend():
     ]
     g = coherent_gaussian(reg, {"p": 0.8, "i": -0.3 + 0.2j})
     f = (
-        make_coherent(ModeRegistry([("p", 2.0, 20)]), "p", 0.8),
-        make_coherent(ModeRegistry([("i", 1.0, 20)]), "i", -0.3 + 0.2j),
+        make_coherent(ModeRegistry([("p", 2.0, 20)]), {"p": 0.8}),
+        make_coherent(ModeRegistry([("i", 1.0, 20)]), {"i": -0.3 + 0.2j}),
     )
     from fconv import product_state
 
@@ -153,3 +155,17 @@ def test_random_circuit_cross_backend():
     assert np.max(np.abs(cov_f - g.cov)) < 1e-7
     for mode in ("p", "i"):
         assert abs(mean_photon(fs, mode) - gaussian_mean_photon(g, mode)) < 1e-7
+
+
+@pytest.mark.parametrize("phase", np.linspace(0, np.pi, 8, endpoint=False))
+def test_quadrature_variance_matches_fock(phase):
+    # two-mode squeezing split on a 50:50 converter leaves each mode
+    # single-mode squeezed, so the variance depends on the phase
+    reg = ModeRegistry([("s", 1.0, 24), ("i", 1.0, 24)])
+    devices = (Amplifier("s", "i", 0.3, 0.4), Converter("s", "i", np.pi / 4))
+    f, g = make_vacuum(reg), vacuum_gaussian(reg)
+    for dev in devices:
+        f, g = apply_device(f, dev), gaussian_apply(g, dev)
+    for mode in ("s", "i"):
+        want = quadrature_variance(f, mode, phase)
+        assert abs(gaussian_quadrature_variance(g, mode, phase) - want) < 1e-9
