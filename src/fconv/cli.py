@@ -267,7 +267,10 @@ def parse_args(argv) -> RunConfig:
         except ValueError:
             raise ValueError(f"FCONV_DEFAULT_CUTOFF={env!r} is not an integer") from None
     if cutoff is not None and cutoff < 1:
-        parser.error(f"cutoff must be >= 1, got {cutoff}")
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    for key, val in params.items():  # NaN passes `x < 0` checks; inf overflows int()
+        if not np.isfinite(np.asarray(val, dtype=float)).all():
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {val!r}")
     if params.get("points", 1) < 1:
         raise ValueError(f"points must be >= 1, got {params['points']}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:

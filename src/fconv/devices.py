@@ -22,13 +22,13 @@ Each of the three generators is one ladder term L plus its Hermitian
 conjugate, and L moves every occupation by a fixed step: (+1, -1) for the
 converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
 coupler.  The conserved-charge sectors are therefore the chains of Fock
-states along that step inside the cutoff box; `device_unitary` walks them and
-exponentiates each tridiagonal block exactly.  The blocks are explicitly
-anti-Hermitian, so `expm` exponentiates each one through the Hermitian
-eigendecomposition of i times the block (numpy's `eigh`, no Pade
-approximant): the unitaries are unitary to machine precision regardless of
-truncation; truncation error shows up only as state leakage, which the
-constructors guard against.
+states along that step inside the cutoff box; `device_unitary` walks them,
+exponentiates each tridiagonal block exactly and keeps the blocks, grouped by
+chain length, in place of a dense unitary.  The blocks are anti-Hermitian,
+so `expm` exponentiates each one through the Hermitian eigendecomposition
+of i times the block (numpy's `eigh`, no Pade approximant): the unitaries
+are unitary to machine precision regardless of truncation; truncation
+error shows up only as state leakage, which the constructors guard against.
 """
 
 from __future__ import annotations
@@ -175,18 +175,20 @@ def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
     return max(c, 1)
 
 
-def device_unitary(registry: ModeRegistry, dev: Device) -> np.ndarray:
-    """exp(K) for one unitary device on ``registry``; other modes are spectators.
+def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(K) for one unitary device on ``registry``, as chain blocks.
 
-    PhaseShift is diagonal.  Every other device has K = c L - c^* L^dag for
-    its one ladder term L, which moves |n> to |n + step>.  K therefore only
-    couples states along chains n, n + step, ... inside the cutoff box; those
-    chains are the conserved-charge sectors, each exponentiated as one
-    tridiagonal block.
+    Every device but PhaseShift has K = c L - c^* L^dag for its one ladder
+    term L, which moves |n> to |n + step>, so K only couples states along
+    chains n, n + step, ... inside the cutoff box: the conserved-charge
+    sectors.  Returns one (idx, B) per chain length n >= 2, the flat indices
+    idx (g, n) of g chains and their exponentials B (g, n, n); states on no
+    chain are unchanged.  PhaseShift is one n = 1 group of its phases.
     """
     occ = registry.occupations()
     if isinstance(dev, PhaseShift):
-        return np.diag(np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)]))
+        phases = np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)])
+        return [(np.arange(registry.dim)[:, None], phases[:, None, None])]
     if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
         raise TypeError(f"{type(dev).__name__} has no unitary representation")
     if isinstance(dev, Amplifier):
@@ -209,15 +211,13 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> np.ndarray:
     elem = np.sqrt(np.where(up, n + 1, n).prod(axis=1))
     strides = np.cumprod((1,) + registry.dims[:0:-1])[::-1]
     jump = int(strides[axes] @ step)  # flat-index change of one step
-    U = np.zeros((registry.dim, registry.dim), dtype=complex)
-    for start in np.nonzero(behind == 0)[0]:
-        idx = start + jump * np.arange(ahead[start] + 1)
-        if len(idx) == 1:
-            U[start, start] = 1.0
-            continue
-        K = np.diag(c * elem[idx[:-1]], -1)
-        U[idx[:, None], idx] = expm(K - K.conj().T)
-    return U
+    starts = np.nonzero((behind == 0) & (ahead > 0))[0]  # chains of two or more states
+    groups = []
+    for steps in np.flatnonzero(np.bincount(ahead[starts])):  # np.unique imports numpy.ma
+        idx = starts[ahead[starts] == steps][:, None] + jump * np.arange(steps + 1)
+        K = [np.diag(c * elem[chain[:-1]], -1) for chain in idx]
+        groups.append((idx, np.array([expm(k - k.conj().T) for k in K])))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,8 @@ def compile_circuit(circuit: Circuit, backend: str = "fock"):
 
     backend="fock" returns PureState/FockDensityOp -> State.  Each unitary
     device is exponentiated here, once, on the sub-registry of its own modes,
-    so large spectator modes never inflate the exponentiated matrix and
-    running the compiled circuit only contracts the unitaries onto the state.
+    so large spectator modes never inflate its chain blocks, and running the
+    compiled circuit only applies the blocks to the state.
     backend="gaussian" returns GaussianState -> GaussianState; a non-Gaussian
     device raises NonGaussianDevice when the circuit runs.
     """
@@ -273,11 +273,11 @@ def compile_circuit(circuit: Circuit, backend: str = "fock"):
         ]
 
         def run_fock(state: State) -> State:
-            for dev, U in steps:
-                if U is None:
+            for dev, blocks in steps:
+                if blocks is None:
                     state = apply_loss(state, dev.mode, dev.transmission)
                 else:
-                    state = apply_matrix(state, U, dev.modes)
+                    state = apply_matrix(state, blocks, dev.modes)
             return state
 
         return run_fock

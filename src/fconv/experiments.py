@@ -137,7 +137,7 @@ def run_linearity(
         raise ValueError("transmissions must lie in (0, 1]")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("transmissions must be strictly decreasing")
-    if noise_floor < 0:
+    if not noise_floor >= 0:
         raise ValueError("noise_floor must be >= 0")
 
     prepare, photons, _ = _backend(backend)
@@ -245,7 +245,7 @@ def run_noise_comparison(
     """
     prepare, photons, variance = _backend(backend)
     ss = [float(s) for s in strength_points]
-    if any(s < 0 for s in ss):
+    if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
     if backend == "fock":

@@ -44,10 +44,6 @@ def destroy(dim: int) -> np.ndarray:
     return a
 
 
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim).astype(complex))
-
-
 def annihilation_matrix(registry: ModeRegistry, mode: str) -> np.ndarray:
     """Full-space annihilation operator for one mode (Kronecker embedding)."""
     m = registry.index(mode)
@@ -253,24 +249,25 @@ def _factor_tensor(state: State) -> np.ndarray:
 # channels
 
 
-def _apply_on_axes(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract a k-mode operator onto the given axes of a state tensor."""
-    sub = tuple(tensor.shape[a] for a in axes)
-    k = len(axes)
-    op_t = op.reshape(sub + sub)
-    out = np.tensordot(op_t, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, range(k), axes)
+def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
+    """Apply a device's chain blocks, as `devices.device_unitary` returns them.
 
-
-def apply_matrix(state: State, op: np.ndarray, modes: tuple[str, ...]) -> State:
-    """Apply a (not necessarily unitary-checked) operator on a subset of modes.
-
-    Pure states: psi -> O psi.  Density operators: W -> O W (rho -> O rho O^dag).
-    Used by the device layer, which guarantees unitarity by construction.
+    ``op`` lists (idx, B) groups over the flat index of the sub-registry of
+    ``modes``.  With the mode axes moved to the front, the state is a matrix
+    X of shape (sub_dim, rest); each group maps the rows X[idx] of its chains
+    to B @ X[idx], one batched matmul per chain length, and every other row
+    is left unchanged.  Pure states: psi -> U psi.  Density operators:
+    W -> U W (rho -> U rho U^dag).  Used by the device layer, which
+    guarantees unitarity by construction.
     """
     reg = state.registry
     axes = tuple(reg.index(m) for m in modes)
-    out = _apply_on_axes(_factor_tensor(state), op, axes).reshape(reg.dim, -1)
+    front = tuple(range(len(axes)))
+    t = np.moveaxis(_factor_tensor(state), axes, front).copy()
+    X = t.reshape(int(np.prod(t.shape[: len(axes)])), -1)  # a view of the copy
+    for idx, B in op:
+        X[idx] = B @ X[idx]
+    out = np.moveaxis(t, front, axes).reshape(reg.dim, -1)
     if isinstance(state, PureState):
         return PureState(reg, out[:, 0])
     return FockDensityOp(reg, factor=out)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler
 from .errors import NonGaussianDevice
-from .fock import State, _apply_on_axes, _factor_tensor, destroy
+from .fock import State, _factor_tensor, destroy
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25
@@ -159,15 +159,14 @@ def moments_from_fock(state: State) -> tuple[np.ndarray, np.ndarray]:
     """
     reg = state.registry
     M = reg.num_modes
-
-    ops = []
-    for m in range(M):
-        x, p = _quadrature_ops(reg.dims[m])
-        ops.append((m, x))
-        ops.append((m, p))
-    # rho = W W^dag: every moment is a sum over the factor's columns
+    # rho = W W^dag: every moment is a sum over the factor's columns; X W for
+    # each quadrature X = x_m, p_m, in the backend's ordering
     W = _factor_tensor(state)
-    transformed = [_apply_on_axes(W, op, (axis,)).reshape(-1) for axis, op in ops]
+    transformed = [
+        np.moveaxis(np.tensordot(op, W, axes=(1, m)), 0, m).reshape(-1)
+        for m in range(M)
+        for op in _quadrature_ops(reg.dims[m])
+    ]
     flat = W.reshape(-1)
     means = np.array([np.vdot(flat, v).real for v in transformed])
     second = np.empty((2 * M, 2 * M))

@@ -39,7 +39,8 @@ from fconv import (
     WdmSpec,
 )
 from fconv.cli import main as cli_main
-from fconv.devices import device_unitary
+
+from dense_reference import dense_unitary
 
 
 def _report(name: str, ok: bool) -> None:
@@ -125,7 +126,7 @@ def test_trilinear_conservation_and_rabi():
     for _ in range(10):
         psi = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
         psi /= np.linalg.norm(psi)
-        U = device_unitary(reg, TrilinearCoupler("p", "s", "i", 0.37, 0.5))
+        U = dense_unitary(reg, TrilinearCoupler("p", "s", "i", 0.37, 0.5))
         out = U @ psi
         for charge in (n_p + n_s, n_s - n_i):
             before = np.sum(charge * np.abs(psi) ** 2)

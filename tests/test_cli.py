@@ -110,7 +110,8 @@ def test_env_default_cutoff(monkeypatch):
 
 
 def test_negative_cutoff_rejected():
-    with pytest.raises(SystemExit):
+    # a ValueError, which main reports as one `fconv:` line with exit 1
+    with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
         parse_args(["fringe", "--cutoff", "0"])
 
 
@@ -190,6 +191,8 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
         ('{"points": 0}', None, "fringe"),
         ("{}", None, "fringe --points 0"),
         ("{}", None, "noise --backend gaussian --points 0"),
+        ("{}", None, "fringe --cutoff 0"),
+        ('{"cutoff": -3}', None, "fringe"),
     ],
     ids=[
         "missing-file",
@@ -211,6 +214,8 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
         "config-zero-points",
         "flag-zero-points",
         "flag-zero-points-noise",
+        "flag-zero-cutoff",
+        "config-negative-cutoff",
     ],
 )
 def test_main_bad_config_is_one_line_and_exit_1(
@@ -233,8 +238,15 @@ def test_main_bad_config_is_one_line_and_exit_1(
     [
         (["linearity", "--theta-eff", "2"], "theta_eff must lie in [0, 1], got 2.0"),
         (["noise", "--points", "0"], "points must be >= 1, got 0"),
+        # NaN passes every `x < 0` check; unchecked, the first ends in an all-nan
+        # CSV with exit 0 and the others in "cannot convert float NaN to integer"
+        (["linearity", "--noise-floor", "nan"], "--noise-floor must be finite, got nan"),
+        (["fringe", "--alpha-ref", "nan"], "--alpha-ref must be finite, got nan"),
+        (["noise", "--s-max", "nan"], "--s-max must be finite, got nan"),
+        # unchecked, an infinite amplitude ends in an OverflowError traceback
+        (["fringe", "--alpha-ref", "inf"], "--alpha-ref must be finite, got inf"),
     ],
-    ids=["theta-eff", "points"],
+    ids=["theta-eff", "points", "nan-noise-floor", "nan-alpha-ref", "nan-s-max", "inf-alpha-ref"],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):
     # unchecked, both runs fail deep inside the Fock backend with unrelated messages

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -26,12 +28,15 @@ from fconv import (
 )
 from fconv.devices import (
     amplifier_generator,
+    amplifier_required_cutoff,
     converter_generator,
     device_unitary,
     trilinear_generator,
 )
 from fconv.devices import expm as chain_expm
-from fconv.fock import annihilation_matrix, apply_matrix
+from fconv.fock import annihilation_matrix
+
+from dense_reference import dense_unitary
 
 
 SECTOR_WALK_CASES = {
@@ -86,13 +91,13 @@ def number_matrix(registry, mode):
 
 def test_converter_theta_zero_identity():
     reg = ModeRegistry([("p", 2.0, 4), ("i", 1.0, 4)])
-    U = device_unitary(reg, Converter("p", "i", 0.0))
+    U = dense_unitary(reg, Converter("p", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
 def test_converter_full_swap():
     reg = ModeRegistry([("p", 2.0, 5), ("i", 1.0, 5)])
-    U = device_unitary(reg, Converter("p", "i", np.pi / 2))
+    U = dense_unitary(reg, Converter("p", "i", np.pi / 2))
     out = U @ make_fock(reg, [1, 0]).amplitudes
     target = make_fock(reg, [0, 1]).amplitudes
     assert abs(np.vdot(target, out)) ** 2 > 1 - 1e-10
@@ -102,7 +107,7 @@ def test_converter_half_conversion_against_dense_expm():
     # independent oracle: dense scipy expm of the same generator
     reg = ModeRegistry([("p", 2.0, 6), ("i", 1.0, 6)])
     dev = Converter("p", "i", np.pi / 4, phi_s=0.4)
-    U = device_unitary(reg, dev)
+    U = dense_unitary(reg, dev)
     U_dense = expm(dev.theta * converter_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-12
     out = U @ make_fock(reg, [1, 0]).amplitudes
@@ -116,7 +121,7 @@ def test_sector_walk_matches_dense_expm(case):
     modes, dev, generator, strength = SECTOR_WALK_CASES[case]
     reg = ModeRegistry(modes)
     U_dense = expm(strength * generator(reg, dev))
-    assert np.max(np.abs(device_unitary(reg, dev) - U_dense)) < 1e-12
+    assert np.max(np.abs(dense_unitary(reg, dev) - U_dense)) < 1e-12
 
 
 @pytest.mark.parametrize("size", range(2, 42))
@@ -138,7 +143,7 @@ def test_converter_fock_input_binomial_closed_form(N):
     # sqrt(C(N, k)) cos^(N-k)(theta) (-e^{-i phi_s} sin(theta))^k
     theta, phi = 0.7, 0.9
     reg = ModeRegistry([("p", 2.0, 6), ("i", 1.0, 6)])
-    U = device_unitary(reg, Converter("p", "i", theta, phi))
+    U = dense_unitary(reg, Converter("p", "i", theta, phi))
     out = U[:, reg.flat_index([N, 0])]
     want = np.zeros(reg.dim, dtype=complex)
     for k in range(N + 1):
@@ -152,7 +157,7 @@ def test_converter_fock_input_binomial_closed_form(N):
 
 def test_converter_unitary_and_number_conserving():
     reg = ModeRegistry([("p", 2.0, 5), ("i", 1.0, 4)])
-    U = device_unitary(reg, Converter("p", "i", 1.1, 0.7))
+    U = dense_unitary(reg, Converter("p", "i", 1.1, 0.7))
     assert np.max(np.abs(U.conj().T @ U - np.eye(reg.dim))) < 1e-10
     N = number_matrix(reg, "p") + number_matrix(reg, "i")
     assert np.max(np.abs(U @ N - N @ U)) < 1e-10
@@ -163,7 +168,7 @@ def test_converter_heisenberg_action():
     # untouched by truncation (total photons at least 2 below cutoff)
     reg = ModeRegistry([("p", 2.0, 8), ("i", 1.0, 8)])
     theta, phi = 0.9, 0.5
-    U = device_unitary(reg, Converter("p", "i", theta, phi))
+    U = dense_unitary(reg, Converter("p", "i", theta, phi))
     ap = annihilation_matrix(reg, "p")
     ai = annihilation_matrix(reg, "i")
     out_p = U.conj().T @ ap @ U
@@ -205,7 +210,7 @@ def test_converter_unit_conversion_of_arbitrary_pump_state():
 
 def test_amplifier_zero_identity():
     reg = ModeRegistry([("s", 1.0, 4), ("i", 1.0, 4)])
-    U = device_unitary(reg, Amplifier("s", "i", 0.0))
+    U = dense_unitary(reg, Amplifier("s", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
@@ -217,11 +222,42 @@ def test_amplifier_vacuum_gain():
     assert abs(mean_photon(out, "s") - np.sinh(r) ** 2) < 1e-8
 
 
+@pytest.mark.parametrize("r, phi", [(0.3, 0.0), (0.7, 1.2), (1.0, -2.5)])
+def test_amplifier_two_mode_vacuum_su11_closed_form(r, phi):
+    # SU(1,1) two-mode squeezer (Yurke, McCall & Klauder, PRA 33, 4033
+    # (1986)) on |0, 0>: amplitude (g/G)^n / G on |n, n> and zero elsewhere,
+    # with G = cosh r and g = -e^{i phi_p} sinh r of the module's Heisenberg
+    # action; the cutoff leaves a tail below 1e-30 so truncation cannot show
+    c = amplifier_required_cutoff(r, tail_tol=1e-30)
+    reg = ModeRegistry([("s", 1.0, c), ("i", 1.0, c)])
+    out = apply_device(make_vacuum(reg), Amplifier("s", "i", r, phi)).amplitudes
+    G, g = np.cosh(r), -np.exp(1j * phi) * np.sinh(r)
+    want = np.zeros(reg.dim, dtype=complex)
+    for n in range(c + 1):
+        want[reg.flat_index([n, n])] = (g / G) ** n / G
+    assert np.max(np.abs(out - want)) < 1e-12
+
+
+def test_amplifier_at_cutoff_42_allocates_no_dense_unitary():
+    # dim 43^2 = 1849: a dense complex U would take 55 MB; the chain blocks
+    # take under 1 MB
+    reg = ModeRegistry([("s", 1.0, 42), ("i", 1.0, 42)])
+    vacuum = make_vacuum(reg)
+    tracemalloc.start()
+    try:
+        out = compile_circuit(Circuit(reg, [Amplifier("s", "i", 1.0)]))(vacuum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(mean_photon(out, "i") - np.sinh(1.0) ** 2) < 1e-7
+    assert peak < 5e6
+
+
 def test_amplifier_conserves_photon_difference():
     rng = np.random.default_rng(42)
     reg = ModeRegistry([("s", 1.0, 12), ("i", 1.0, 12)])
     dev = Amplifier("s", "i", 0.3, phi_p=0.9)
-    U = device_unitary(reg, dev)
+    U = dense_unitary(reg, dev)
     D = number_matrix(reg, "s") - number_matrix(reg, "i")
     for _ in range(3):
         psi = random_pure(reg, rng)
@@ -236,7 +272,7 @@ def test_amplifier_heisenberg_action():
     # so compare well inside the boundary
     reg = ModeRegistry([("s", 1.0, 30), ("i", 1.0, 30)])
     r, phi = 0.3, 1.2
-    U = device_unitary(reg, Amplifier("s", "i", r, phi))
+    U = dense_unitary(reg, Amplifier("s", "i", r, phi))
     a_s = annihilation_matrix(reg, "s")
     a_i = annihilation_matrix(reg, "i")
     G = np.cosh(r)
@@ -258,7 +294,7 @@ def test_amplifier_cutoff_guard():
 def test_amplifier_matches_dense_expm():
     reg = ModeRegistry([("s", 1.0, 10), ("i", 1.0, 10)])
     dev = Amplifier("s", "i", 0.4, 0.3)
-    U = device_unitary(reg, dev)
+    U = dense_unitary(reg, dev)
     U_dense = expm(dev.squeeze * amplifier_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-11
 
@@ -269,7 +305,7 @@ def test_amplifier_matches_dense_expm():
 
 def test_trilinear_zero_identity():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
-    U = device_unitary(reg, TrilinearCoupler("p", "s", "i", 0.0))
+    U = dense_unitary(reg, TrilinearCoupler("p", "s", "i", 0.0))
     assert np.max(np.abs(U - np.eye(reg.dim))) < 1e-12
 
 
@@ -285,7 +321,7 @@ def test_trilinear_single_pump_photon_rabi(eta_tau):
 def test_trilinear_two_pump_photons_against_dense_expm():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
     dev = TrilinearCoupler("p", "s", "i", 0.6, phase=0.2)
-    U = device_unitary(reg, dev)
+    U = dense_unitary(reg, dev)
     U_dense = expm(dev.eta_tau * trilinear_generator(reg, dev))
     assert np.max(np.abs(U - U_dense)) < 1e-11
     out = U @ make_fock(reg, [2, 0, 0]).amplitudes
@@ -299,7 +335,7 @@ def test_trilinear_two_pump_photons_against_dense_expm():
 def test_trilinear_conserves_both_charges():
     rng = np.random.default_rng(9)
     reg = ModeRegistry([("p", 2.0, 3), ("s", 1.0, 3), ("i", 1.0, 3)])
-    U = device_unitary(reg, TrilinearCoupler("p", "s", "i", 0.7, 1.1))
+    U = dense_unitary(reg, TrilinearCoupler("p", "s", "i", 0.7, 1.1))
     N_ps = number_matrix(reg, "p") + number_matrix(reg, "s")
     N_si = number_matrix(reg, "s") - number_matrix(reg, "i")
     for _ in range(3):
@@ -383,6 +419,35 @@ def test_gaussian_compile_rejects_trilinear():
         run(vacuum_gaussian(reg))
 
 
+@pytest.mark.parametrize(
+    "modes, dev",
+    [
+        ([("p", 2.0, 5), ("i", 1.0, 2)], Converter("p", "i", 0.9, 0.4)),
+        ([("s", 1.0, 4), ("i", 1.0, 6)], Amplifier("s", "i", 0.1, 0.6)),
+        ([("p", 2.0, 3), ("s", 1.0, 1), ("i", 1.0, 2)], TrilinearCoupler("p", "s", "i", 0.8)),
+    ],
+    ids=["converter", "amplifier", "trilinear"],
+)
+def test_chain_blocks_are_disjoint_unitary_groups_by_length(modes, dev):
+    reg = ModeRegistry(modes)
+    groups = device_unitary(reg, dev)
+    sizes = [idx.shape[1] for idx, _ in groups]
+    assert sizes == sorted(set(sizes)) and min(sizes) >= 2
+    flat = np.concatenate([idx.ravel() for idx, _ in groups])
+    assert len(set(flat)) == len(flat) and flat.max() < reg.dim
+    for idx, B in groups:
+        assert B.shape == idx.shape + idx.shape[1:]
+        eye = np.eye(idx.shape[1])
+        assert np.max(np.abs(B.conj().transpose(0, 2, 1) @ B - eye)) < 1e-12
+
+
+def test_phase_shift_is_one_group_of_phases():
+    reg = ModeRegistry([("a", 1.0, 3), ("b", 1.0, 2)])
+    [(idx, B)] = device_unitary(reg, PhaseShift("b", 0.3))
+    assert idx.shape == (reg.dim, 1) and B.shape == (reg.dim, 1, 1)
+    assert np.allclose(B[:, 0, 0], np.exp(0.3j * reg.occupations()[:, 1]), atol=1e-15)
+
+
 def test_subregistry_application_matches_full_space():
     # spectator mode present: contraction path vs full-space unitary
     reg = ModeRegistry([("p", 2.0, 3), ("x", 1.5, 2), ("i", 1.0, 3)])
@@ -390,6 +455,6 @@ def test_subregistry_application_matches_full_space():
     rng = np.random.default_rng(1)
     psi = random_pure(reg, rng)
     via_sub = apply_device(psi, dev)
-    U_full = device_unitary(reg, dev)
+    U_full = dense_unitary(reg, dev)
     via_full = U_full @ psi.amplitudes
     assert np.max(np.abs(via_sub.amplitudes - via_full)) < 1e-11

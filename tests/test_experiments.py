@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,8 @@ def test_linearity_input_validation():
         run_linearity([0.5, 0.9], 0.1, 1.0)  # not decreasing
     with pytest.raises(ValueError):
         run_linearity([1.5], 0.1, 1.0)
+    with pytest.raises(ValueError, match="noise_floor"):
+        run_linearity([1.0], 0.1, 1.0, noise_floor=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +230,21 @@ def test_depletion_single_photon_nondecreasing():
     fids = res.column("fidelity_vs_converter")
     assert np.all(np.diff(fids) > 0)
     assert fids[0] > 0.8
+
+
+def test_depletion_six_pump_photons_allocates_no_dense_unitary():
+    # pump |6> and alpha_s 10 (auto signal cutoff 170): dim 7 * 171 * 7 = 8379,
+    # where a dense complex U would take 1.1 GB; no trilinear chain holds more
+    # than 7 states
+    pump = make_fock(ModeRegistry([("pump", 2.0, 6)]), [6])
+    tracemalloc.start()
+    try:
+        res = run_depletion_convergence([10.0], np.pi / 2, pump)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < res.column("fidelity_vs_converter")[0] <= 1.0
+    assert peak < 5e6
 
 
 def test_depletion_rejects_bad_amplitudes():
