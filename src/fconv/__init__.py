@@ -42,7 +42,6 @@ from .fock import (
     make_fock,
     make_vacuum,
     mean_photon,
-    partial_trace,
     product_state,
     quadrature_variance,
     reduced_density,
@@ -55,7 +54,6 @@ from .gaussian import (
     gaussian_mean_photon,
     gaussian_quadrature_variance,
     moments_from_fock,
-    symplectic_form,
     vacuum_gaussian,
 )
 from .registry import ModeRegistry

@@ -321,9 +321,7 @@ def _run_one(cfg: RunConfig, backend: str) -> ScanResult:
 
 
 def _suffixed(path: str, tag: str) -> str:
-    if path.endswith(".csv"):
-        return path[: -len(".csv")] + f".{tag}.csv"
-    return path + f".{tag}.csv"
+    return path.removesuffix(".csv") + f".{tag}.csv"
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,6 @@ error shows up only as state leakage, which the constructors guard against.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -220,6 +219,17 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
     return groups
 
 
+def mode_matrix(dev: Device) -> np.ndarray:
+    """U of a passive device on ``dev.modes``: a -> U a, and so single-photon
+    amplitudes c (of sum_m c_m a_m^dag |0>) -> U c."""
+    if isinstance(dev, Converter):
+        c, s, e = np.cos(dev.theta), np.sin(dev.theta), np.exp(1j * dev.phi_s)
+        return np.array([[c, e * s], [-e.conjugate() * s, c]])
+    if isinstance(dev, PhaseShift):
+        return np.array([[np.exp(1j * dev.phi)]])
+    raise TypeError(f"{type(dev).__name__} is not a passive device")
+
+
 # ---------------------------------------------------------------------------
 # dense reference generators (full-space Kronecker ladder operators)
 
@@ -260,8 +270,8 @@ def compile_circuit(circuit: Circuit, backend: str = "fock"):
     device is exponentiated here, once, on the sub-registry of its own modes,
     so large spectator modes never inflate its chain blocks, and running the
     compiled circuit only applies the blocks to the state.
-    backend="gaussian" returns GaussianState -> GaussianState; a non-Gaussian
-    device raises NonGaussianDevice when the circuit runs.
+    backend="gaussian" returns GaussianState -> GaussianState, one moment map
+    for all devices; a non-Gaussian device raises NonGaussianDevice when run.
     """
     if backend == "fock":
         reg = circuit.registry
@@ -282,9 +292,9 @@ def compile_circuit(circuit: Circuit, backend: str = "fock"):
 
         return run_fock
     if backend == "gaussian":
-        from .gaussian import gaussian_apply  # gaussian imports this module
+        from .gaussian import compile_gaussian  # gaussian imports this module
 
-        return lambda state: functools.reduce(gaussian_apply, circuit.devices, state)
+        return compile_gaussian(circuit.registry, circuit.devices)
     raise ValueError(f"unknown backend {backend!r}")
 
 

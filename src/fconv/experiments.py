@@ -21,6 +21,7 @@ from .devices import (
     amplifier_required_cutoff,
     apply_device,
     compile_circuit,
+    mode_matrix,
 )
 from .errors import EnergyConservationViolation
 from .fock import (
@@ -28,7 +29,6 @@ from .fock import (
     coherent_required_cutoff,
     fidelity_pure_mixed,
     make_coherent,
-    make_fock,
     make_vacuum,
     mean_photon,
     product_state,
@@ -356,39 +356,26 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
     complex amplitude vector (c_0, c_1, ..., c_K) with c_0 the residual pump
     amplitude.  The cascade follows the product rule
     c_k = -e^{-i phi_k} sin(theta_k) * prod_{j<k} cos(theta_j).
+    One photon stays in the single-excitation subspace, so the cascade acts
+    on the K + 1 amplitudes alone: O(K) work, no Fock state is built.
     """
-    K = len(spec.channels)
-    modes = [("pump", spec.pump_frequency, 1)]
-    for k, f_i in enumerate(spec.idler_frequencies, start=1):
-        modes.append((f"idler{k}", f_i, 1))
-    registry = ModeRegistry(modes)
-
-    cascade = Circuit(
-        registry,
-        tuple(
-            Converter("pump", f"idler{k}", theta_k, phi_k)
-            for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1)
-        ),
+    freqs = spec.idler_frequencies
+    registry = ModeRegistry(
+        [("pump", spec.pump_frequency, 1)]
+        + [(f"idler{k}", f_i, 1) for k, f_i in enumerate(freqs, start=1)]
     )
-    state = compile_circuit(cascade)(make_fock(registry, [1] + [0] * K))
-
-    amp = state.tensorized()
-    c = np.zeros(K + 1, dtype=complex)
-    c[0] = amp[(1,) + (0,) * K]
-    for k in range(1, K + 1):
-        idx = [0] * (K + 1)
-        idx[k] = 1
-        c[k] = amp[tuple(idx)]
+    # c_m of sum_m c_m a_m^dag |0>: converter k mixes the pump entry with entry k
+    c = np.zeros(len(freqs) + 1, dtype=complex)
+    c[0] = 1.0
+    for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1):
+        c[[0, k]] = mode_matrix(Converter("pump", f"idler{k}", theta_k, phi_k)) @ c[[0, k]]
     total = float(np.sum(np.abs(c) ** 2))
     if abs(total - 1.0) > 1e-10:
         raise AssertionError(
             f"single-excitation amplitudes lost normalization: sum |c|^2 = {total}"
         )
 
-    rows = tuple(
-        (float(k), (spec.idler_frequencies[k - 1], float(np.abs(c[k]) ** 2)))
-        for k in range(1, K + 1)
-    )
+    rows = tuple((float(k), (f, float(np.abs(c[k]) ** 2))) for k, f in enumerate(freqs, start=1))
     result = ScanResult(
         name="wdm",
         abscissa_label="channel",

@@ -70,10 +70,6 @@ class PureState:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amp)
 
-    def tensorized(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per mode."""
-        return self.amplitudes.reshape(self.registry.dims)
-
 
 @dataclass(frozen=True, init=False)
 class FockDensityOp:
@@ -175,11 +171,15 @@ def poisson_tails(mu: float) -> np.ndarray:
 
 def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= tol."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     return 1 + int(np.argmax(poisson_tails(abs(alpha) ** 2)[1:] <= tol))
 
 
 def _coherent_vector(mode: str, cutoff: int, alpha: complex) -> np.ndarray:
     """Normalized amplitudes of |alpha> on levels 0..cutoff of one mode."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude on mode {mode!r} must be finite, got {alpha}")
     mu = abs(alpha) ** 2
     tails = poisson_tails(mu)
     tail = tails[min(cutoff, len(tails) - 1)]
@@ -312,9 +312,6 @@ def reduced_density(state: State, keep) -> FockDensityOp:
     t = np.moveaxis(_factor_tensor(state), keep_axes, range(len(keep_axes)))
     sub = reg.subregistry(keep)
     return FockDensityOp(sub, factor=t.reshape(sub.dim, -1))
-
-
-partial_trace = reduced_density
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ biggest source of silent bugs in Gaussian codes, so do not reorder.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler
+from .devices import (
+    Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler, mode_matrix
+)
 from .errors import NonGaussianDevice
 from .fock import State, _factor_tensor, destroy
 from .registry import ModeRegistry
@@ -42,31 +45,19 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
 
-def symplectic_form(num_modes: int) -> np.ndarray:
-    """Omega = diag of [[0, 1], [-1, 0]] blocks in (x, p) ordering."""
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(num_modes), J)
-
-
 def vacuum_gaussian(registry: ModeRegistry) -> GaussianState:
-    n = 2 * registry.num_modes
-    return GaussianState(registry, np.zeros(n), VACUUM_VARIANCE * np.eye(n))
+    return coherent_gaussian(registry, {})
 
 
 def coherent_gaussian(registry: ModeRegistry, alphas: dict[str, complex]) -> GaussianState:
     """Coherent amplitudes per mode label; unspecified modes are vacuum."""
-    state = vacuum_gaussian(registry)
-    means = state.means.copy()
+    n = 2 * registry.num_modes
+    means = np.zeros(n)
     for label, alpha in alphas.items():
         m = registry.index(label)
         means[2 * m] = np.real(alpha)
         means[2 * m + 1] = np.imag(alpha)
-    return GaussianState(registry, means, state.cov)
-
-
-def _rotation(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 
 def _conj_rotation(phi: float) -> np.ndarray:
@@ -77,50 +68,71 @@ def _conj_rotation(phi: float) -> np.ndarray:
 
 def device_symplectic(registry: ModeRegistry, dev: Device) -> np.ndarray:
     """2M x 2M quadrature transfer matrix of a unitary Gaussian device."""
-    M = registry.num_modes
-    S = np.eye(2 * M)
+    S = np.eye(2 * registry.num_modes)
 
     def blk(i, j):
         return np.s_[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
-    if isinstance(dev, Converter):
-        p, i = registry.index(dev.pump_mode), registry.index(dev.idler_mode)
-        c, s = np.cos(dev.theta), np.sin(dev.theta)
-        S[blk(p, p)] = c * np.eye(2)
-        S[blk(p, i)] = s * _rotation(dev.phi_s)
-        S[blk(i, i)] = c * np.eye(2)
-        S[blk(i, p)] = -s * _rotation(-dev.phi_s)
+    if isinstance(dev, (Converter, PhaseShift)):
+        # a -> U a; with a = x + i p, an entry u acts as [[Re u, -Im u], [Im u, Re u]]
+        U = mode_matrix(dev)
+        x = 2 * np.array([registry.index(m) for m in dev.modes])
+        p = x + 1
+        S[x[:, None], x] = S[p[:, None], p] = U.real
+        S[p[:, None], x] = U.imag
+        S[x[:, None], p] = -U.imag
         return S
     if isinstance(dev, Amplifier):
         s_, i = registry.index(dev.signal_mode), registry.index(dev.idler_mode)
         ch, sh = np.cosh(dev.squeeze), np.sinh(dev.squeeze)
-        S[blk(s_, s_)] = ch * np.eye(2)
-        S[blk(i, i)] = ch * np.eye(2)
-        S[blk(s_, i)] = -sh * _conj_rotation(dev.phi_p)
-        S[blk(i, s_)] = -sh * _conj_rotation(dev.phi_p)
-        return S
-    if isinstance(dev, PhaseShift):
-        m = registry.index(dev.mode)
-        S[blk(m, m)] = _rotation(dev.phi)
+        S[blk(s_, s_)] = S[blk(i, i)] = ch * np.eye(2)
+        S[blk(s_, i)] = S[blk(i, s_)] = -sh * _conj_rotation(dev.phi_p)
         return S
     if isinstance(dev, TrilinearCoupler):
         raise NonGaussianDevice("trilinear coupler is not a Gaussian transformation")
     raise NonGaussianDevice(f"{type(dev).__name__} has no symplectic representation")
 
 
+def _moment_map(registry: ModeRegistry, dev: Device):
+    """(X, Y): means -> X means, cov -> X cov X^T + Y; Y is None for a unitary."""
+    if not isinstance(dev, Attenuator):
+        return device_symplectic(registry, dev), None
+    m, T = registry.index(dev.mode), dev.transmission
+    X = np.eye(2 * registry.num_modes)
+    X[2 * m, 2 * m] = X[2 * m + 1, 2 * m + 1] = np.sqrt(T)
+    Y = np.zeros_like(X)
+    Y[2 * m, 2 * m] = Y[2 * m + 1, 2 * m + 1] = (1.0 - T) * VACUUM_VARIANCE
+    return X, Y
+
+
+def _then(first, second):
+    """(X a, X b X^T + Y): ``second`` = (X, Y) after a state or channel ``first`` = (a, b)."""
+    (a, b), (X, Y) = first, second
+    if b is not None:
+        b = X @ b @ X.T
+        Y = b if Y is None else b + Y
+    return X @ a, Y
+
+
+def compile_gaussian(registry: ModeRegistry, devices):
+    """GaussianState -> GaussianState through ``devices`` as one (X, Y), folded from
+    the first device's map on the first run (a NonGaussianDevice raises there)."""
+    channel = None
+
+    def run(state: GaussianState) -> GaussianState:
+        nonlocal channel
+        if not devices:
+            return state
+        if channel is None:
+            channel = functools.reduce(_then, [_moment_map(registry, d) for d in devices])
+        return GaussianState(state.registry, *_then((state.means, state.cov), channel))
+
+    return run
+
+
 def gaussian_apply(state: GaussianState, dev: Device) -> GaussianState:
-    """Moment-level action of a device: symplectic map, or the loss CP map."""
-    reg = state.registry
-    if isinstance(dev, Attenuator):
-        m = reg.index(dev.mode)
-        T = dev.transmission
-        X = np.eye(2 * reg.num_modes)
-        X[2 * m, 2 * m] = X[2 * m + 1, 2 * m + 1] = np.sqrt(T)
-        Y = np.zeros_like(X)
-        Y[2 * m, 2 * m] = Y[2 * m + 1, 2 * m + 1] = (1.0 - T) * VACUUM_VARIANCE
-        return GaussianState(reg, X @ state.means, X @ state.cov @ X.T + Y)
-    S = device_symplectic(reg, dev)
-    return GaussianState(reg, S @ state.means, S @ state.cov @ S.T)
+    """Moment-level action of one device: symplectic map, or the loss CP map."""
+    return compile_gaussian(state.registry, (dev,))(state)
 
 
 def gaussian_mean_photon(state: GaussianState, mode: str) -> float:

@@ -8,6 +8,7 @@ with mode 1 slowest, i.e. the flat index of an occupation tuple is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +56,7 @@ class ModeRegistry:
     @property
     def dim(self) -> int:
         """Total Hilbert dimension = product of per-mode dimensions."""
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def num_modes(self) -> int:
@@ -66,9 +67,6 @@ class ModeRegistry:
             return self._index[label]
         except KeyError:
             raise UnknownMode(f"unknown mode {label!r}; have {self.labels}") from None
-
-    def frequency(self, label: str) -> float:
-        return self.modes[self.index(label)].frequency
 
     def cutoff(self, label: str) -> int:
         return self.modes[self.index(label)].cutoff

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fconv.devices
+import fconv.gaussian
 from fconv import (
     Circuit,
     EnergyConservationViolation,
@@ -20,6 +21,8 @@ from fconv import (
     run_noise_comparison,
     run_wdm,
 )
+
+from dense_reference import wdm_fock_cascade
 
 
 def test_scanresult_checks_shape_and_monotonicity():
@@ -67,6 +70,20 @@ def unitary_builds(monkeypatch):
 def test_fringe_builds_each_unitary_once_per_scan(unitary_builds):
     run_fringe(np.linspace(0, 2 * np.pi, 16, endpoint=False), 0.8, 0.3, 0.7, 0.2)
     assert len(unitary_builds) == 2
+
+
+def test_gaussian_fringe_builds_each_symplectic_once_per_scan(monkeypatch):
+    built = []
+    original = fconv.gaussian.device_symplectic
+
+    def counting(registry, dev):
+        built.append(dev)
+        return original(registry, dev)
+
+    monkeypatch.setattr(fconv.gaussian, "device_symplectic", counting)
+    phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    run_fringe(phis, 0.8, 0.3, 0.7, 0.2, backend="gaussian")
+    assert len(built) == 2
 
 
 def test_linearity_builds_one_unitary_per_transmission(unitary_builds):
@@ -292,6 +309,39 @@ def test_wdm_normalization_random_specs():
         )
         _, c = run_wdm(WdmSpec(2.0, chans))
         assert abs(np.sum(np.abs(c) ** 2) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+def test_wdm_matches_fock_cascade(K):
+    rng = np.random.default_rng(700 + K)
+    chans = tuple(
+        (1.0 + 0.01 * k, float(rng.uniform(0, np.pi)), float(rng.uniform(-np.pi, np.pi)))
+        for k in range(K)
+    )
+    spec = WdmSpec(2.0, chans)
+    res, c = run_wdm(spec)
+    want = wdm_fock_cascade(spec)
+    assert np.max(np.abs(c - want)) < 1e-14
+    assert np.max(np.abs(res.column("probability") - np.abs(want[1:]) ** 2)) < 1e-14
+
+
+def test_wdm_200_channels_product_rule_in_little_memory():
+    rng = np.random.default_rng(200)
+    thetas = rng.uniform(0, 0.3, 200)
+    phis = rng.uniform(-np.pi, np.pi, 200)
+    spec = WdmSpec(2.0, tuple((1.0 + 1e-3 * k, t, p) for k, t, p in zip(range(200), thetas, phis)))
+    tracemalloc.start()
+    try:
+        res, c = run_wdm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    survive = np.concatenate(([1.0], np.cumprod(np.cos(thetas))))
+    want = -np.exp(-1j * phis) * np.sin(thetas) * survive[:-1]
+    assert np.max(np.abs(c[1:] - want)) < 1e-12
+    assert abs(c[0] - survive[-1]) < 1e-12
+    assert np.max(np.abs(res.column("probability") - np.abs(want) ** 2)) < 1e-12
+    assert peak < 1e6
 
 
 def test_wdm_energy_conservation_guard():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from fconv import (
     make_fock,
     make_vacuum,
     mean_photon,
-    partial_trace,
     product_state,
     quadrature_variance,
     reduced_density,
@@ -57,6 +57,13 @@ def test_registry_dimensions():
     assert reg.dim == 12
     assert reg.dims == (4, 3)
     assert reg.index("i") == 1
+
+
+def test_registry_dim_is_exact_past_int64():
+    # 2**64 wraps to 0 in a fixed-width product
+    reg = ModeRegistry([(f"m{k}", 1.0, 1) for k in range(64)])
+    assert reg.dim == 2**64
+    assert ModeRegistry([(f"m{k}", 1.0, 2) for k in range(41)]).dim == 3**41
 
 
 def test_registry_rejects_bad_modes():
@@ -110,6 +117,15 @@ def test_make_fock_over_cutoff():
 def test_coherent_zero_is_vacuum():
     reg = ModeRegistry([("a", 1.0, 5)])
     assert np.allclose(make_coherent(reg, {"a": 0.0}).amplitudes, make_vacuum(reg).amplitudes)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, complex(0.5, -np.inf)])
+def test_coherent_rejects_non_finite_amplitude(alpha):
+    reg = ModeRegistry([("a", 1.0, 10), ("b", 1.0, 5)])
+    with pytest.raises(ValueError, match=re.escape(f"mode 'b' must be finite, got {alpha}")):
+        make_coherent(reg, {"a": 0.5, "b": alpha})
+    with pytest.raises(ValueError, match=re.escape(f"must be finite, got {alpha}")):
+        coherent_required_cutoff(alpha)
 
 
 def test_coherent_mean_photon_poisson_oracle():
@@ -295,7 +311,7 @@ def test_partial_trace_keep_all():
     rng = np.random.default_rng(5)
     reg = ModeRegistry([("a", 1.0, 2), ("b", 1.0, 2)])
     rho = random_density(reg, rng)
-    same = partial_trace(rho, ["a", "b"])
+    same = reduced_density(rho, ["a", "b"])
     assert np.max(np.abs(same.matrix - rho.matrix)) < 1e-12
 
 
@@ -305,7 +321,7 @@ def test_partial_trace_product_state():
     psiA = make_coherent(regA, {"a": 0.7})
     psiB = make_coherent(regB, {"b": -0.4 + 0.2j})
     rho = to_density(product_state(psiA, psiB))
-    redA = partial_trace(rho, ["a"])
+    redA = reduced_density(rho, ["a"])
     assert np.max(np.abs(redA.matrix - to_density(psiA).matrix)) < 1e-12
 
 
@@ -315,7 +331,7 @@ def test_partial_trace_tmsv_idler_is_thermal():
     r = 0.5
     reg = ModeRegistry([("s", 1.0, 30), ("i", 1.0, 30)])
     state = apply_device(make_vacuum(reg), Amplifier("s", "i", r))
-    red = partial_trace(to_density(state), ["i"])
+    red = reduced_density(to_density(state), ["i"])
     n = np.arange(31)
     nbar = np.sinh(r) ** 2
     geometric = nbar**n / (1 + nbar) ** (n + 1)
@@ -326,7 +342,7 @@ def test_partial_trace_tmsv_idler_is_thermal():
 def test_partial_trace_unknown_mode():
     reg = ModeRegistry([("a", 1.0, 2)])
     with pytest.raises(UnknownMode):
-        partial_trace(to_density(make_vacuum(reg)), ["zz"])
+        reduced_density(to_density(make_vacuum(reg)), ["zz"])
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +355,7 @@ def dense(state):
     return np.outer(state.amplitudes, state.amplitudes.conj())
 
 
-def dense_partial_trace(rho, dims, keep_axes):
+def dense_reduced_density(rho, dims, keep_axes):
     # independent oracle: move the kept axes first on both sides, then trace
     # the remaining row index against the remaining column index
     m = len(dims)
@@ -396,7 +412,7 @@ def test_factor_path_matches_dense_reference(data):
         elif kind == "reduce":
             keep = data.draw(st.lists(st.sampled_from(reg.labels), min_size=1, unique=True))
             state = reduced_density(state, keep)
-            rho = dense_partial_trace(rho, reg.dims, [reg.index(lab) for lab in keep])
+            rho = dense_reduced_density(rho, reg.dims, [reg.index(lab) for lab in keep])
         if isinstance(state, FockDensityOp):
             assert state.factor.shape[1] <= state.registry.dim
         assert np.max(np.abs(dense(state) - rho)) < 1e-12

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fconv import (
     Amplifier,
     Attenuator,
+    Circuit,
     Converter,
     ModeRegistry,
     NonGaussianDevice,
@@ -12,6 +15,7 @@ from fconv import (
     apply_device,
     apply_loss,
     coherent_gaussian,
+    compile_circuit,
     gaussian_apply,
     gaussian_mean_photon,
     gaussian_quadrature_variance,
@@ -20,10 +24,15 @@ from fconv import (
     mean_photon,
     moments_from_fock,
     quadrature_variance,
-    symplectic_form,
     vacuum_gaussian,
 )
+from fconv.devices import mode_matrix
 from fconv.gaussian import device_symplectic
+
+
+def symplectic_form(num_modes):
+    """Omega = diag of [[0, 1], [-1, 0]] blocks in (x, p) ordering."""
+    return np.kron(np.eye(num_modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def two_mode_registry(cutoff=25):
@@ -97,6 +106,17 @@ def test_symplectic_property(dev):
     assert np.max(np.abs(S @ omega @ S.T - omega)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "dev", [Converter("p", "i", 0.8, 0.3), Converter("i", "p", 2.1, -1.4), PhaseShift("i", 1.7)]
+)
+def test_passive_symplectic_is_real_form_of_mode_matrix(dev):
+    # with a = x + i p, u a acts on (x, p) as Re u * I + Im u * [[0, -1], [1, 0]]
+    reg = ModeRegistry([(m, 1.0, 1) for m in dev.modes])
+    U = mode_matrix(dev)
+    real_form = np.kron(U.real, np.eye(2)) + np.kron(U.imag, [[0.0, -1.0], [1.0, 0.0]])
+    assert np.max(np.abs(device_symplectic(reg, dev) - real_form)) < 1e-15
+
+
 def test_converter_orthogonal_amplifier_not():
     reg = two_mode_registry()
     Sc = device_symplectic(reg, Converter("p", "i", 0.8, 0.3))
@@ -127,6 +147,48 @@ def test_trilinear_rejected():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
     with pytest.raises(NonGaussianDevice):
         gaussian_apply(vacuum_gaussian(reg), TrilinearCoupler("p", "s", "i", 0.2))
+
+
+_MODES = ("a", "b", "c")
+_pairs = st.permutations(_MODES).map(lambda m: m[:2])
+_angle = st.floats(0.0, 2 * np.pi)
+_device = st.one_of(
+    st.builds(lambda m, t, p: Converter(*m, t, p), _pairs, _angle, _angle),
+    st.builds(lambda m, r, p: Amplifier(*m, r, p), _pairs, st.floats(0.0, 0.5), _angle),
+    st.builds(PhaseShift, st.sampled_from(_MODES), _angle),
+    st.builds(Attenuator, st.sampled_from(_MODES), st.floats(0.0, 1.0)),
+)
+_alpha = st.complex_numbers(max_magnitude=1.5)
+
+
+def _apply_by_hand(reg, dev, means, cov):
+    """One device on (means, cov), written out: the loss channel scales the
+    mode's quadratures by sqrt(T) and adds (1 - T) / 4 vacuum variance."""
+    if not isinstance(dev, Attenuator):
+        S = device_symplectic(reg, dev)
+        return S @ means, S @ cov @ S.T
+    q = 2 * reg.index(dev.mode) + np.arange(2)
+    scale = np.ones(len(means))
+    scale[q] = np.sqrt(dev.transmission)
+    cov = scale[:, None] * cov * scale
+    cov[q, q] += (1.0 - dev.transmission) / 4
+    return scale * means, cov
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_device, max_size=6), st.lists(_alpha, min_size=3, max_size=3))
+def test_compiled_circuit_matches_sequential_application(devices, alphas):
+    reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
+    state = coherent_gaussian(reg, dict(zip(_MODES, alphas)))
+    run = compile_circuit(Circuit(reg, devices), backend="gaussian")
+    means, cov, one_by_one = state.means, state.cov, state
+    for dev in devices:
+        means, cov = _apply_by_hand(reg, dev, means, cov)
+        one_by_one = gaussian_apply(one_by_one, dev)
+    # the first run folds the map and the second reuses it
+    for out in (one_by_one, run(state), run(state)):
+        assert np.max(np.abs(out.means - means)) < 1e-12
+        assert np.max(np.abs(out.cov - cov)) < 1e-12
 
 
 def test_random_circuit_cross_backend():
