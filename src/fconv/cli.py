@@ -273,6 +273,9 @@ def parse_args(argv) -> RunConfig:
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {val!r}")
     if params.get("points", 1) < 1:
         raise ValueError(f"points must be >= 1, got {params['points']}")
+    t_min = params.get("t_min", 0.5)  # geomspace(1, t_min, points) must strictly decrease
+    if not (0.0 < t_min < 1.0 or t_min == 1.0 and params["points"] == 1):
+        raise ValueError(f"--t-min must lie in (0, 1), or be 1 with --points 1, got {t_min}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
         raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
     output = ns.output or file_cfg.get("output") or f"{ns.experiment}.csv"

@@ -23,12 +23,13 @@ conjugate, and L moves every occupation by a fixed step: (+1, -1) for the
 converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
 coupler.  The conserved-charge sectors are therefore the chains of Fock
 states along that step inside the cutoff box; `device_unitary` walks them,
-exponentiates each tridiagonal block exactly and keeps the blocks, grouped by
-chain length, in place of a dense unitary.  The blocks are anti-Hermitian,
-so `expm` exponentiates each one through the Hermitian eigendecomposition
-of i times the block (numpy's `eigh`, no Pade approximant): the unitaries
-are unitary to machine precision regardless of truncation; truncation
-error shows up only as state leakage, which the constructors guard against.
+exponentiates each distinct tridiagonal block once (an amplifier's mirror
+chains n_s - n_i = +-d share one; zero strength has none) and keeps the
+blocks, grouped by chain length, in place of a dense unitary.  A block K is
+anti-Hermitian, so `expm` uses the Hermitian eigendecomposition of iK
+(numpy's `eigh`, no Pade approximant): the unitaries are unitary to machine
+precision whatever the truncation, whose error shows up only as state
+leakage, which the constructors guard against.
 """
 
 from __future__ import annotations
@@ -182,12 +183,13 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
     chains n, n + step, ... inside the cutoff box: the conserved-charge
     sectors.  Returns one (idx, B) per chain length n >= 2, the flat indices
     idx (g, n) of g chains and their exponentials B (g, n, n); states on no
-    chain are unchanged.  PhaseShift is one n = 1 group of its phases.
+    chain are unchanged; chains with equal ladder elements share one block, and
+    zero strength (c = 0, phi = 0) gives none.  PhaseShift is one n = 1 group.
     """
     occ = registry.occupations()
     if isinstance(dev, PhaseShift):
         phases = np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)])
-        return [(np.arange(registry.dim)[:, None], phases[:, None, None])]
+        return [(np.arange(registry.dim)[:, None], phases[:, None, None])] if dev.phi else []
     if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
         raise TypeError(f"{type(dev).__name__} has no unitary representation")
     if isinstance(dev, Amplifier):
@@ -202,6 +204,8 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
             )
     step, c = dev.ladder
     axes = [registry.index(m) for m in dev.modes]
+    if c == 0:  # exp(0) = I: no chain to apply
+        return []
     up = np.array(step) > 0
     n, cut = occ[:, axes], np.array(registry.cutoffs)[axes]
     ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
@@ -214,8 +218,15 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
     groups = []
     for steps in np.flatnonzero(np.bincount(ahead[starts])):  # np.unique imports numpy.ma
         idx = starts[ahead[starts] == steps][:, None] + jump * np.arange(steps + 1)
-        K = [np.diag(c * elem[chain[:-1]], -1) for chain in idx]
-        groups.append((idx, np.array([expm(k - k.conj().T) for k in K])))
+        blocks, B = {}, []  # equal rows, as on an amplifier's mirror chains, share one exp
+        for chain in idx:
+            row = c * elem[chain[:-1]]
+            key = row.tobytes()
+            if key not in blocks:
+                k = np.diag(row, -1)
+                blocks[key] = expm(k - k.conj().T)
+            B.append(blocks[key])
+        groups.append((idx, np.array(B)))
     return groups
 
 

@@ -54,9 +54,10 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict[str, complex]) -> Gau
     n = 2 * registry.num_modes
     means = np.zeros(n)
     for label, alpha in alphas.items():
+        if not abs(alpha) < np.inf:  # false for nan too
+            raise ValueError(f"coherent amplitude on mode {label!r} must be finite, got {alpha}")
         m = registry.index(label)
-        means[2 * m] = np.real(alpha)
-        means[2 * m + 1] = np.imag(alpha)
+        means[2 * m : 2 * m + 2] = alpha.real, alpha.imag
     return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 

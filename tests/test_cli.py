@@ -68,6 +68,11 @@ def test_parse_linearity_flags():
     assert cfg.backend == "fock"
 
 
+def test_parse_t_min_1_allowed_for_one_point():
+    cfg = parse_args(["linearity", "--t-min", "1", "--points", "1"])
+    assert cfg.params["t_min"] == 1.0 and cfg.params["points"] == 1
+
+
 def test_parse_missing_subcommand_errors():
     with pytest.raises(SystemExit) as exc:
         parse_args([])
@@ -233,6 +238,9 @@ def test_main_bad_config_is_one_line_and_exit_1(
     assert not (tmp_path / "w.csv").exists()
 
 
+T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -245,8 +253,26 @@ def test_main_bad_config_is_one_line_and_exit_1(
         (["noise", "--s-max", "nan"], "--s-max must be finite, got nan"),
         # unchecked, an infinite amplitude ends in an OverflowError traceback
         (["fringe", "--alpha-ref", "inf"], "--alpha-ref must be finite, got inf"),
+        # unchecked, numpy's "Geometric sequence cannot include zero"
+        (["linearity", "--t-min", "0"], f"{T_MIN_RANGE} 0.0"),
+        # unchecked, a numpy RuntimeWarning on stderr before the error line
+        (["linearity", "--t-min", "-0.5"], f"{T_MIN_RANGE} -0.5"),
+        (["linearity", "--t-min", "1.5"], f"{T_MIN_RANGE} 1.5"),
+        # unchecked, nine equal transmissions fail as "not strictly decreasing"
+        (["linearity", "--t-min", "1"], f"{T_MIN_RANGE} 1.0"),
     ],
-    ids=["theta-eff", "points", "nan-noise-floor", "nan-alpha-ref", "nan-s-max", "inf-alpha-ref"],
+    ids=[
+        "theta-eff",
+        "points",
+        "nan-noise-floor",
+        "nan-alpha-ref",
+        "nan-s-max",
+        "inf-alpha-ref",
+        "zero-t-min",
+        "negative-t-min",
+        "t-min-above-1",
+        "t-min-1-with-points",
+    ],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):
     # unchecked, both runs fail deep inside the Fock backend with unrelated messages

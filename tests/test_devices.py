@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import comb
 
+import fconv.devices
 from fconv import (
     Amplifier,
     Attenuator,
@@ -24,6 +27,7 @@ from fconv import (
     make_vacuum,
     mean_photon,
     product_state,
+    run_noise_comparison,
     vacuum_gaussian,
 )
 from fconv.devices import (
@@ -458,3 +462,100 @@ def test_subregistry_application_matches_full_space():
     U_full = dense_unitary(reg, dev)
     via_full = U_full @ psi.amplitudes
     assert np.max(np.abs(via_sub.amplitudes - via_full)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# distinct blocks, exponentiated once
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts the chain-block exponentials taken while the test runs."""
+    calls = []
+    original = fconv.devices.expm
+
+    def counting(K):
+        calls.append(K.shape[0])
+        return original(K)
+
+    monkeypatch.setattr(fconv.devices, "expm", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cutoffs, dev, calls",
+    [
+        # 49 chains (n_s - n_i = -24..24); d and -d have equal ladder elements
+        ((25, 25), Amplifier("s", "i", 0.5, 0.3), 25),
+        # unequal cutoffs: mirror chains differ in length, nothing to share
+        ((7, 6), Amplifier("s", "i", 0.1), 12),
+        # chains of total N and 24 - N have equal lengths but distinct elements
+        ((12, 12), Converter("s", "i", 0.7, 0.2), 23),
+    ],
+    ids=["amplifier-equal-cutoffs", "amplifier-unequal-cutoffs", "converter"],
+)
+def test_each_distinct_block_is_exponentiated_once(cutoffs, dev, calls, expm_calls):
+    reg = ModeRegistry([("s", 1.0, cutoffs[0]), ("i", 1.0, cutoffs[1])])
+    groups = device_unitary(reg, dev)
+    assert len(expm_calls) == calls
+    # a shared block is bitwise the exponential of each of its chains' own block
+    step, c = dev.ladder
+    n = reg.occupations()
+    elem = np.sqrt(np.where(np.array(step) > 0, n + 1, n).prod(axis=1))
+    for idx, B in groups:
+        for chain, block in zip(idx, B):
+            k = np.diag(c * elem[chain[:-1]], -1)
+            assert np.array_equal(block, chain_expm(k - k.conj().T))
+
+
+def test_noise_scan_from_zero_strength_exponentiates_34_blocks(expm_calls):
+    # at s = 0.75 the converter (cutoff 5) has 9 distinct blocks and the
+    # amplifier (cutoff 25) 25 for its 49 chains; at s = 0 neither device
+    # has a block (116 exponentials when every chain took its own)
+    run_noise_comparison([0.0, 0.75], backend="fock")
+    assert len(expm_calls) == 34
+
+
+@pytest.mark.parametrize(
+    "dev",
+    [
+        Converter("a", "b", 0.0, 0.4),
+        Amplifier("a", "b", 0.0, 1.1),
+        TrilinearCoupler("a", "b", "c", 0.0, -0.3),
+        PhaseShift("b", 0.0),
+    ],
+    ids=["converter", "amplifier", "trilinear", "phase-shift"],
+)
+def test_zero_strength_device_has_no_blocks(dev, expm_calls):
+    reg = ModeRegistry([("a", 2.0, 3), ("b", 1.0, 4), ("c", 1.0, 2)])
+    assert device_unitary(reg, dev) == []
+    assert expm_calls == []
+    psi = random_pure(reg, np.random.default_rng(5))
+    assert np.array_equal(apply_device(psi, dev).amplitudes, psi.amplitudes)
+
+
+_DENSE_CASES = {
+    "converter": (2, converter_generator, lambda m, c, p: Converter(*m, c, p)),
+    "amplifier": (2, amplifier_generator, lambda m, c, p: Amplifier(*m, c, p)),
+    "trilinear": (3, trilinear_generator, lambda m, c, p: TrilinearCoupler(*m, c, p)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chain_blocks_match_dense_expm_of_generator(data):
+    # independent oracle: scipy's dense expm of the Kronecker-built generator,
+    # on cutoffs that are equal (shared mirror blocks) or not
+    kind = data.draw(st.sampled_from(sorted(_DENSE_CASES)), label="device")
+    num_modes, generator, build = _DENSE_CASES[kind]
+    cutoffs = data.draw(st.lists(st.integers(1, 8), min_size=num_modes, max_size=num_modes))
+    if data.draw(st.booleans(), label="equal cutoffs"):
+        cutoffs = [cutoffs[0]] * num_modes
+    modes = "abc"[:num_modes]
+    reg = ModeRegistry([(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))])
+    strength = data.draw(st.floats(0.0, 1.5), label="strength")
+    if kind == "amplifier":  # stay inside the squeezed-vacuum tail guard
+        strength *= np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
+    dev = build(modes, strength, data.draw(st.floats(-np.pi, np.pi), label="phase"))
+    U_dense = expm(strength * generator(reg, dev))
+    assert np.max(np.abs(dense_unitary(reg, dev) - U_dense)) < 1e-12

@@ -264,6 +264,38 @@ def test_depletion_six_pump_photons_allocates_no_dense_unitary():
     assert peak < 5e6
 
 
+def depletion_fidelity_closed_form(alpha_s):
+    """F(alpha_s) = sum_n Poisson_n(alpha_s^2) sin^2(pi sqrt(n + 1) / (2 alpha_s)).
+
+    A one-photon pump with coherent signal and vacuum idler: the coupler
+    (eta_tau = theta / alpha_s) only mixes |1, n, 0> with |0, n + 1, 1>, at
+    matrix element sqrt(n + 1).  Holds at theta = pi/2 only: there the target
+    is |0, 1> and the fidelity is the converted population; at other theta
+    the target keeps a |1, 0> part and picks up coherences between
+    neighbouring signal numbers.
+    """
+    n = np.arange(int(alpha_s**2 + 20 * alpha_s + 50))
+    log_poisson = n * np.log(alpha_s**2) - alpha_s**2 - np.cumsum(np.log(np.maximum(n, 1)))
+    return float(np.sum(np.exp(log_poisson) * np.sin(np.pi * np.sqrt(n + 1) / (2 * alpha_s)) ** 2))
+
+
+def test_depletion_matches_closed_form():
+    # independent of the Fock code: a Poisson-weighted sum of Rabi populations
+    alphas = [2.0, 3.0, 4.0, 5.0, 8.0, 12.0]
+    pump = make_fock(ModeRegistry([("pump", 2.0, 1)]), [1])
+    res = run_depletion_convergence(alphas, np.pi / 2, pump)
+    for a_s, fid in zip(alphas, res.column("fidelity_vs_converter")):
+        assert abs(fid - depletion_fidelity_closed_form(a_s)) < 1e-9
+
+
+def test_depletion_strong_signal_limit():
+    # expanding sin^2(pi sqrt(n + 1) / (2 alpha_s)) about n + 1 = alpha_s^2
+    # gives 1 - F -> pi^2 / (16 alpha_s^2): the converter is the strong-signal limit
+    pump = make_fock(ModeRegistry([("pump", 2.0, 1)]), [1])
+    [fid] = run_depletion_convergence([30.0], np.pi / 2, pump).column("fidelity_vs_converter")
+    assert abs(30.0**2 * (1 - fid) - np.pi**2 / 16) < 1e-3
+
+
 def test_depletion_rejects_bad_amplitudes():
     reg = ModeRegistry([("pump", 2.0, 1)])
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,14 @@ def test_coherent_calibration():
     assert abs(gaussian_mean_photon(g, "a") - 1.0) < 1e-12
     f = make_coherent(reg, {"a": 1.0})
     assert abs(mean_photon(f, "a") - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, complex(0, np.inf)])
+def test_coherent_gaussian_rejects_non_finite_amplitude(alpha):
+    # unchecked, the state reads a mean photon number of inf or nan
+    reg = ModeRegistry([("a", 1.0, 1), ("b", 1.0, 1)])
+    with pytest.raises(ValueError, match=re.escape(f"mode 'b' must be finite, got {alpha}")):
+        coherent_gaussian(reg, {"a": 0.5, "b": alpha})
 
 
 def test_converter_zero_identity():
