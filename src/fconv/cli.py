@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per experiment, CSV output.
 
 Every run is deterministic: identical flags produce byte-identical files.
-An optional JSON config file supplies defaults; explicit flags win.  The
-environment variable FCONV_DEFAULT_CUTOFF sets the default Fock cutoff.
+`EXPERIMENTS` declares each parameter once; the flags, their defaults and
+help, and the types of config-file values all follow from it.  An optional
+JSON config file supplies defaults: the experiment's own section, or else the
+top-level keys that name no experiment.  Explicit flags win.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ from .experiments import (
 from .fock import make_fock
 from .registry import ModeRegistry
 
-EXPERIMENTS = ("linearity", "fringe", "noise", "depletion", "wdm")
 FOCK_ONLY = ("depletion", "wdm")
 BACKEND_AGREEMENT_TOL = 1e-7
 
@@ -60,119 +60,7 @@ def write_csv(result: ScanResult, path: str) -> None:
         raise OSError(f"cannot write scan result to {path!r}: {exc}") from exc
 
 
-def _parse_channel(text: str):
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(
-            f"channel {text!r} must be SIGNAL_FREQ:THETA[:PHI]"
-        )
-    f, t = float(parts[0]), float(parts[1])
-    p = float(parts[2]) if len(parts) == 3 else 0.0
-    return (f, t, p)
-
-
-@functools.cache  # built on first use, not at import; parse_args reuses it
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fconv",
-        description="Deterministic frequency down-conversion scans, written as CSV.",
-    )
-    parser.add_argument(
-        "--config", help="JSON file with per-experiment default parameters"
-    )
-    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-
-    def common(p):
-        p.add_argument("-o", "--output", help="output CSV path (default <experiment>.csv)")
-        p.add_argument(
-            "--backend",
-            choices=("fock", "gaussian", "both"),
-            help="state representation (default fock; 'both' cross-validates)",
-        )
-        p.add_argument(
-            "--cutoff",
-            type=int,
-            help="Fock cutoff override (default: auto, or $FCONV_DEFAULT_CUTOFF)",
-        )
-
-    p = sub.add_parser("linearity", help="idler output vs pump attenuation")
-    common(p)
-    p.add_argument("--theta-eff", type=float, help="conversion efficiency sin^2(theta), default 0.01")
-    p.add_argument("--points", type=int, help="number of transmissions, default 9")
-    p.add_argument("--t-min", type=float, help="smallest transmission, default 0.01")
-    p.add_argument("--alpha-pump", type=float, help="pump coherent amplitude, default 1.0")
-    p.add_argument("--noise-floor", type=float, help="constant detector floor, default 0")
-
-    p = sub.add_parser("fringe", help="interference fringe under pump-phase scan")
-    common(p)
-    p.add_argument("--points", type=int, help="number of phase points, default 64")
-    p.add_argument("--alpha-pump", type=float, help="pump amplitude, default 1.0")
-    p.add_argument("--alpha-ref", type=float, help="reference amplitude, default 0.25")
-    p.add_argument("--theta", type=float, help="converter angle, default 0.5236 (pi/6)")
-    p.add_argument("--phi-s", type=float, help="converter phase, default 0")
-
-    p = sub.add_parser("noise", help="converter vs amplifier idler noise")
-    common(p)
-    p.add_argument("--s-max", type=float, help="largest interaction strength, default 1.0")
-    p.add_argument("--points", type=int, help="number of strengths, default 11")
-
-    p = sub.add_parser("depletion", help="trilinear convergence to the converter")
-    common(p)
-    p.add_argument(
-        "--alpha-s", type=float, nargs="+", help="signal amplitudes, default 2 3 4 5"
-    )
-    p.add_argument("--theta", type=float, help="target converter angle, default pi/2")
-    p.add_argument("--pump-photon", type=int, help="pump Fock input |n>, default 1")
-
-    p = sub.add_parser("wdm", help="single-photon wavelength division multiplexing")
-    common(p)
-    p.add_argument("--pump-frequency", type=float, help="pump frequency, default 2.0")
-    p.add_argument(
-        "--channel",
-        action="append",
-        type=_parse_channel,
-        help="SIGNAL_FREQ:THETA[:PHI], repeatable; default 1.1:0.7854 0.9:1.5708",
-    )
-    return parser
-
-
-_DEFAULTS = {
-    "linearity": {
-        "theta_eff": 0.01,
-        "points": 9,
-        "t_min": 0.01,
-        "alpha_pump": 1.0,
-        "noise_floor": 0.0,
-    },
-    "fringe": {
-        "points": 64,
-        "alpha_pump": 1.0,
-        "alpha_ref": 0.25,
-        "theta": float(np.pi / 6),
-        "phi_s": 0.0,
-    },
-    "noise": {"s_max": 1.0, "points": 11},
-    "depletion": {"alpha_s": [2.0, 3.0, 4.0, 5.0], "theta": float(np.pi / 2), "pump_photon": 1},
-    "wdm": {
-        "pump_frequency": 2.0,
-        "channel": [(1.1, float(np.pi / 4), 0.0), (0.9, float(np.pi / 2), 0.0)],
-    },
-}
-
-
-def _read_config(path: str, experiment: str) -> dict:
-    """The file's section for ``experiment``, or the whole file if it has none."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read config {path!r}: {exc}") from None
-    section = raw.get(experiment, raw) if isinstance(raw, dict) else raw
-    if not isinstance(section, dict):
-        raise ValueError(f"config {path!r}: expected a JSON object, got {type(section).__name__}")
-    return section
-
-
+# Conversions of config-file values; each rejects what its flag would reject.
 def _int(v) -> int:
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError
@@ -186,7 +74,7 @@ def _float(v) -> float:
 
 
 def _floats(v) -> list[float]:
-    if not isinstance(v, list):
+    if not isinstance(v, list) or not v:  # nargs="+" rejects an empty list too
         raise ValueError
     return [_float(x) for x in v]
 
@@ -195,13 +83,7 @@ def _channels(v) -> list[tuple[float, float, float]]:
     chans = [_floats(c) for c in v] if isinstance(v, list) else []
     if not chans or any(len(c) not in (2, 3) for c in chans):
         raise ValueError
-    return [(*c, 0.0)[:3] for c in chans]  # PHI defaults to 0, as in --channel
-
-
-def _backend(v) -> str:
-    if v not in ("fock", "gaussian", "both"):
-        raise ValueError
-    return v
+    return [(*c, 0.0)[:3] for c in chans]  # PHI defaults to 0
 
 
 def _text(v) -> str:
@@ -210,27 +92,117 @@ def _text(v) -> str:
     return v
 
 
-# config key -> (conversion matching the key's flag, what the key must be);
-# every other key is a float scalar
-_CONFIG_TYPES = {
-    "cutoff": (_int, "an integer"),
-    "points": (_int, "an integer"),
-    "pump_photon": (_int, "an integer"),
-    "alpha_s": (_floats, "a list of numbers"),
-    "channel": (_channels, "a list of [SIGNAL_FREQ, THETA] or [SIGNAL_FREQ, THETA, PHI] lists"),
-    "backend": (_backend, "one of 'fock', 'gaussian', 'both'"),
-    "output": (_text, "a string"),
-}
-_RUN_KEYS = ("backend", "cutoff", "output")
-
-
-def _typed(path: str, key: str, val):
-    """A config file value converted like the value of its flag."""
-    convert, what = _CONFIG_TYPES.get(key, (_float, "a number"))
+def _parse_channel(text: str):
     try:
-        return convert(val)
+        return _channels([text.split(":")])[0]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"channel {text!r} must be SIGNAL_FREQ:THETA[:PHI]"
+        ) from None
+
+
+# Flag kinds: (config-file conversion, what a config value must be, add_argument keywords).
+_INT = (_int, "an integer", {"type": int})
+_NUMBER = (_float, "a number", {"type": float})
+_NUMBERS = (_floats, "a non-empty list of numbers", {"type": float, "nargs": "+"})
+_CHANNELS = (_channels, "a list of [SIGNAL_FREQ, THETA] or [SIGNAL_FREQ, THETA, PHI] lists",
+             {"type": _parse_channel, "action": "append"})
+_BACKEND = (_text, "one of 'fock', 'gaussian', 'both'", {"choices": ("fock", "gaussian", "both")})
+
+# experiment -> (subcommand help, {parameter: (default, flag kind, help)}).  A
+# parameter is the flag --<name with '-' for '_'> and the config key <name>.
+EXPERIMENTS = {
+    "linearity": ("idler output vs pump attenuation", {
+        "theta_eff": (0.01, _NUMBER, "conversion efficiency sin^2(theta)"),
+        "points": (9, _INT, "number of transmissions"),
+        "t_min": (0.01, _NUMBER, "smallest transmission"),
+        "alpha_pump": (1.0, _NUMBER, "pump coherent amplitude"),
+        "noise_floor": (0.0, _NUMBER, "constant detector floor"),
+    }),
+    "fringe": ("interference fringe under pump-phase scan", {
+        "points": (64, _INT, "number of phase points"),
+        "alpha_pump": (1.0, _NUMBER, "pump amplitude"),
+        "alpha_ref": (0.25, _NUMBER, "reference amplitude"),
+        "theta": (float(np.pi / 6), _NUMBER, "converter angle"),
+        "phi_s": (0.0, _NUMBER, "converter phase"),
+    }),
+    "noise": ("converter vs amplifier idler noise", {
+        "s_max": (1.0, _NUMBER, "largest interaction strength"),
+        "points": (11, _INT, "number of strengths"),
+    }),
+    "depletion": ("trilinear convergence to the converter", {
+        "alpha_s": ([2.0, 3.0, 4.0, 5.0], _NUMBERS, "signal amplitudes"),
+        "theta": (float(np.pi / 2), _NUMBER, "target converter angle"),
+        "pump_photon": (1, _INT, "pump Fock input |n>"),
+    }),
+    "wdm": ("single-photon wavelength division multiplexing", {
+        "pump_frequency": (2.0, _NUMBER, "pump frequency"),
+        "channel": ([(1.1, float(np.pi / 4), 0.0), (0.9, float(np.pi / 2), 0.0)], _CHANNELS,
+                    "SIGNAL_FREQ:THETA[:PHI], repeatable"),
+    }),
+}
+
+# run key -> (default, flag kind, help), taken by every experiment; a None
+# default is worked out per run, as its help says
+_RUN_KEYS = {
+    "output": (None, (_text, "a string", {}), "output CSV path (default <experiment>.csv)"),
+    "backend": ("fock", _BACKEND, "state representation ('both' cross-validates)"),
+    "cutoff": (None, _INT, "Fock cutoff override (default: auto-sized)"),
+}
+
+
+def _shown(value) -> str:
+    """A default as it is typed on the command line."""
+    if isinstance(value, list):
+        return " ".join(map(_shown, value))
+    return ":".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@functools.cache  # built on first use, not at import; parse_args reuses it
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fconv",
+        description="Deterministic frequency down-conversion scans, written as CSV.",
+    )
+    parser.add_argument(
+        "--config", help="JSON file with per-experiment default parameters"
+    )
+    sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
+    for name, (about, params) in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=about)
+        for key, (default, (_, _, flag_kw), text) in {**_RUN_KEYS, **params}.items():
+            flags = ("-o", "--output") if key == "output" else ("--" + key.replace("_", "-"),)
+            if default is not None:
+                text += f", default {_shown(default)}"
+            p.add_argument(*flags, help=text, **flag_kw)
+    return parser
+
+
+def _read_config(path: str, experiment: str) -> dict:
+    """The file's section for ``experiment``, or else its keys that name no experiment."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc}") from None
+    section = raw.get(experiment, raw) if isinstance(raw, dict) else raw
+    if not isinstance(section, dict):
+        raise ValueError(f"config {path!r}: expected a JSON object, got {type(section).__name__}")
+    if section is raw:  # no section of its own; other experiments' sections are not keys
+        section = {k: v for k, v in raw.items() if k not in EXPERIMENTS}
+    return section
+
+
+def _typed(path: str, key: str, kind, val):
+    """A config file value converted like the value of its flag."""
+    convert, what, flag_kw = kind
+    try:
+        typed = convert(val)
+        if typed in flag_kw.get("choices", (typed,)):
+            return typed
     except (TypeError, ValueError):
-        raise ValueError(f"config {path!r}: {key!r} must be {what}, got {val!r}") from None
+        pass
+    raise ValueError(f"config {path!r}: {key!r} must be {what}, got {val!r}")
 
 
 def parse_args(argv) -> RunConfig:
@@ -239,33 +211,26 @@ def parse_args(argv) -> RunConfig:
     if ns.experiment is None:
         parser.error("missing experiment subcommand (one of: " + ", ".join(EXPERIMENTS) + ")")
 
-    params = dict(_DEFAULTS[ns.experiment])
-    file_cfg = {}
+    table = {**_RUN_KEYS, **EXPERIMENTS[ns.experiment][1]}
+    params = {key: default for key, (default, _, _) in table.items()}
     if ns.config:
         for key, val in _read_config(ns.config, ns.experiment).items():
-            if key not in params and key not in _RUN_KEYS:
+            if key not in table:
                 parser.error(f"config key {key!r} unknown for experiment {ns.experiment!r}")
             if val is not None:  # null keeps the default
-                file_cfg[key] = _typed(ns.config, key, val)
-    params.update((k, v) for k, v in file_cfg.items() if k in params)
-    for key in params:
+                params[key] = _typed(ns.config, key, table[key][1], val)
+    for key in params:  # a flag beats the config file
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
             params[key] = flag_val
 
-    backend = ns.backend or file_cfg.get("backend") or "fock"
+    backend, cutoff = params.pop("backend"), params.pop("cutoff")
+    output = params.pop("output") or f"{ns.experiment}.csv"
     if ns.experiment in FOCK_ONLY and backend != "fock":
         parser.error(
             f"--backend {backend} is not available for {ns.experiment}: "
             "the scenario is non-Gaussian (NonGaussianDevice)"
         )
-    cutoff = ns.cutoff if ns.cutoff is not None else file_cfg.get("cutoff")
-    if cutoff is None:
-        env = os.environ.get("FCONV_DEFAULT_CUTOFF")
-        try:
-            cutoff = int(env) if env else None
-        except ValueError:
-            raise ValueError(f"FCONV_DEFAULT_CUTOFF={env!r} is not an integer") from None
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     for key, val in params.items():  # NaN passes `x < 0` checks; inf overflows int()
@@ -278,7 +243,6 @@ def parse_args(argv) -> RunConfig:
         raise ValueError(f"--t-min must lie in (0, 1), or be 1 with --points 1, got {t_min}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
         raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
-    output = ns.output or file_cfg.get("output") or f"{ns.experiment}.csv"
     return RunConfig(ns.experiment, backend, cutoff, params, output)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fconv import ScanResult
-from fconv.cli import main, parse_args, write_csv
+from fconv.cli import EXPERIMENTS, main, parse_args, write_csv
 
 
 def _result():
@@ -106,12 +106,37 @@ def test_parse_config_unknown_key_errors(tmp_path):
         parse_args(["--config", str(cfgfile), "noise"])
 
 
-def test_env_default_cutoff(monkeypatch):
-    monkeypatch.setenv("FCONV_DEFAULT_CUTOFF", "7")
-    cfg = parse_args(["fringe"])
-    assert cfg.cutoff == 7
-    cfg = parse_args(["fringe", "--cutoff", "9"])
-    assert cfg.cutoff == 9  # explicit flag beats the environment
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_top_level_cutoff_serves_every_experiment(experiment, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cutoff": 7}))
+    assert parse_args(["--config", str(cfgfile), experiment]).cutoff == 7
+    cfg = parse_args(["--config", str(cfgfile), experiment, "--cutoff", "9"])
+    assert cfg.cutoff == 9  # explicit flag beats the file
+
+
+def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
+    # an experiment without a section of its own takes only the top-level
+    # keys that name no experiment, so another experiment's section is no
+    # unknown key
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fringe": {"points": 32}, "cutoff": 9}))
+    assert parse_args(["--config", str(cfgfile), "fringe"]).params["points"] == 32
+    cfg = parse_args(["--config", str(cfgfile), "noise"])
+    assert cfg.params["points"] == 11 and cfg.cutoff == 9
+    for experiment in ("noise", "fringe"):
+        out = tmp_path / f"{experiment}.csv"
+        argv = ["--config", str(cfgfile), experiment, "--backend", "gaussian", "-o", str(out)]
+        assert main(argv) == 0
+    rows = [l for l in (tmp_path / "fringe.csv").read_text().splitlines() if l[0] != "#"]
+    assert len(rows) == 1 + 32  # header, then one row per phase point
+
+
+def test_bad_channel_flag_names_the_format(capsys):
+    assert main(["wdm", "--channel", "a:b"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --channel: channel 'a:b' must be SIGNAL_FREQ:THETA[:PHI]" in err
+    assert "_parse_channel" not in err
 
 
 def test_negative_cutoff_rejected():
@@ -175,41 +200,41 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config_text, env_cutoff, args",
+    "config_text, args",
     [
-        (None, None, "wdm"),  # --config names a missing file
-        ("{not json", None, "wdm"),
-        ("[1, 2]", None, "wdm"),
-        ('{"wdm": [1]}', None, "wdm"),
-        ('{"wdm": {}}', "abc", "wdm"),
-        ('{"cutoff": "abc"}', None, "fringe"),
-        ('{"points": "x"}', None, "fringe"),
-        ('{"points": 2.5}', None, "fringe"),
-        ('{"alpha_pump": true}', None, "fringe"),
-        ('{"alpha_s": 3}', None, "depletion"),
-        ('{"channel": [[1.1, "a"]]}', None, "wdm"),
-        ('{"output": 5}', None, "wdm"),
-        ('{"theta_eff": 2, "backend": "gaussian"}', None, "linearity"),
-        ('{"theta_eff": NaN, "backend": "gaussian"}', None, "linearity"),
-        ("{}", None, "linearity --backend gaussian --theta-eff 2"),
-        ("{}", None, "linearity --backend gaussian --theta-eff -0.5"),
-        ('{"points": 0}', None, "fringe"),
-        ("{}", None, "fringe --points 0"),
-        ("{}", None, "noise --backend gaussian --points 0"),
-        ("{}", None, "fringe --cutoff 0"),
-        ('{"cutoff": -3}', None, "fringe"),
+        (None, "wdm"),  # --config names a missing file
+        ("{not json", "wdm"),
+        ("[1, 2]", "wdm"),
+        ('{"wdm": [1]}', "wdm"),
+        ('{"cutoff": "abc"}', "fringe"),
+        ('{"points": "x"}', "fringe"),
+        ('{"points": 2.5}', "fringe"),
+        ('{"alpha_pump": true}', "fringe"),
+        ('{"alpha_s": 3}', "depletion"),
+        ('{"alpha_s": []}', "depletion"),
+        ('{"channel": [[1.1, "a"]]}', "wdm"),
+        ('{"output": 5}', "wdm"),
+        ('{"theta_eff": 2, "backend": "gaussian"}', "linearity"),
+        ('{"theta_eff": NaN, "backend": "gaussian"}', "linearity"),
+        ("{}", "linearity --backend gaussian --theta-eff 2"),
+        ("{}", "linearity --backend gaussian --theta-eff -0.5"),
+        ('{"points": 0}', "fringe"),
+        ("{}", "fringe --points 0"),
+        ("{}", "noise --backend gaussian --points 0"),
+        ("{}", "fringe --cutoff 0"),
+        ('{"cutoff": -3}', "fringe"),
     ],
     ids=[
         "missing-file",
         "malformed-json",
         "top-level-list",
         "list-section",
-        "env-cutoff",
         "string-cutoff",
         "string-points",
         "fractional-points",
         "bool-scalar",
         "scalar-alpha-s",
+        "empty-alpha-s",
         "string-in-channel",
         "integer-output",
         "config-theta-eff-above-1",
@@ -223,19 +248,31 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
         "config-negative-cutoff",
     ],
 )
-def test_main_bad_config_is_one_line_and_exit_1(
-    config_text, env_cutoff, args, tmp_path, monkeypatch, capsys
-):
+def test_main_bad_config_is_one_line_and_exit_1(config_text, args, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     if config_text is not None:
         cfgfile.write_text(config_text)
-    if env_cutoff is not None:
-        monkeypatch.setenv("FCONV_DEFAULT_CUTOFF", env_cutoff)
     rc = main(["--config", str(cfgfile), *args.split(), "-o", str(tmp_path / "w.csv")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("fconv: ") and err.count("\n") == 1
     assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, experiment, rule",
+    [
+        ({"alpha_s": []}, "depletion", "'alpha_s' must be a non-empty list of numbers, got []"),
+        ({"backend": "fast"}, "noise", "'backend' must be one of 'fock', 'gaussian', 'both', got 'fast'"),
+    ],
+    ids=["empty-alpha-s", "unknown-backend"],
+)
+def test_config_value_errors_name_the_rule(config, experiment, rule, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    with pytest.raises(ValueError) as exc:
+        parse_args(["--config", str(cfgfile), experiment])
+    assert str(exc.value) == f"config {str(cfgfile)!r}: {rule}"
 
 
 T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
@@ -297,6 +334,44 @@ def test_config_values_take_their_flag_types(tmp_path):
     cfg = parse_args(["--config", str(cfgfile), "wdm"])
     assert cfg.params["channel"] == [(1.2, 0.5, 0.0), (0.8, 1.0, 0.25)]
     assert cfg.params["pump_frequency"] == 2.0 and isinstance(cfg.params["pump_frequency"], float)
+
+
+def _as_typed(default) -> list[str]:
+    """The command-line words of a table default: one per number or channel."""
+    values = default if isinstance(default, list) else [default]
+    return [":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in values]
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_config_of_every_default_writes_the_default_csv(experiment, tmp_path):
+    # every table parameter set to its default, once from a config file and
+    # once from flags typed as --help shows them: both CSVs equal a plain run
+    # byte for byte, so config values and flags convert alike
+    params = EXPERIMENTS[experiment][1]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({experiment: {k: d for k, (d, _, _) in params.items()}}))
+    flags = []
+    for key, (default, _, _) in params.items():
+        flag = "--" + key.replace("_", "-")
+        words = _as_typed(default)
+        flags += [a for w in words for a in (flag, w)] if key == "channel" else [flag, *words]
+    runs = {"plain": [], "config": ["--config", str(cfgfile)], "flags": []}
+    for name, pre in runs.items():
+        post = flags if name == "flags" else []
+        assert main([*pre, experiment, *post, "-o", str(tmp_path / f"{name}.csv")]) == 0
+    plain = (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "config.csv").read_bytes() == plain
+    assert (tmp_path / "flags.csv").read_bytes() == plain
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_help_shows_every_parameter_and_its_default(experiment, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "120")  # wide enough that no default is split
+    assert main([experiment, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for key, (default, _, about) in EXPERIMENTS[experiment][1].items():
+        assert f"--{key.replace('_', '-')} " in text
+        assert f"{about}, default {' '.join(_as_typed(default))}" in text
 
 
 def test_main_runs_without_scipy(tmp_path):
