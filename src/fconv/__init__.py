@@ -54,7 +54,6 @@ from .gaussian import (
     gaussian_mean_photon,
     gaussian_quadrature_variance,
     moments_from_fock,
-    vacuum_gaussian,
 )
 from .registry import ModeRegistry
 

@@ -147,7 +147,7 @@ EXPERIMENTS = {
 _RUN_KEYS = {
     "output": (None, (_text, "a string", {}), "output CSV path (default <experiment>.csv)"),
     "backend": ("fock", _BACKEND, "state representation ('both' cross-validates)"),
-    "cutoff": (None, _INT, "Fock cutoff override (default: auto-sized)"),
+    "cutoff": (None, _INT, "Fock cutoff override (default: auto-sized; wdm has none)"),
 }
 
 
@@ -231,6 +231,8 @@ def parse_args(argv) -> RunConfig:
             f"--backend {backend} is not available for {ns.experiment}: "
             "the scenario is non-Gaussian (NonGaussianDevice)"
         )
+    if ns.experiment == "wdm" and ns.cutoff is not None:  # a shared config cutoff is fine
+        raise ValueError("--cutoff does not apply to wdm: its one photon needs no Fock cutoff")
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     for key, val in params.items():  # NaN passes `x < 0` checks; inf overflows int()

@@ -44,6 +44,17 @@ from .fock import State, annihilation_matrix, apply_loss, apply_matrix
 from .registry import ModeRegistry
 
 
+def _check(dev, phase: str, strength: str | None = None) -> None:
+    """Refuse repeated modes, and NaN or inf, which would fill every amplitude with NaN."""
+    phi, s = getattr(dev, phase), getattr(dev, strength) if strength else 0.0
+    if not 0 <= s < np.inf:
+        raise ValueError(f"{strength} must be finite and >= 0; phases carry all sign structure")
+    if not abs(phi) < np.inf:
+        raise ValueError(f"{phase} must be finite, got {phi}")
+    if len(set(dev.modes)) != len(dev.modes):
+        raise ValueError(f"{type(dev).__name__} modes must be distinct")
+
+
 @dataclass(frozen=True)
 class Converter:
     pump_mode: str
@@ -52,10 +63,7 @@ class Converter:
     phi_s: float = 0.0
 
     def __post_init__(self):
-        if not self.theta >= 0:
-            raise ValueError("theta must be >= 0; phases carry all sign structure")
-        if self.pump_mode == self.idler_mode:
-            raise ValueError("converter modes must be distinct")
+        _check(self, "phi_s", "theta")
 
     @property
     def modes(self):
@@ -75,10 +83,7 @@ class Amplifier:
     phi_p: float = 0.0
 
     def __post_init__(self):
-        if not self.squeeze >= 0:
-            raise ValueError("squeeze must be >= 0; phases carry all sign structure")
-        if self.signal_mode == self.idler_mode:
-            raise ValueError("amplifier modes must be distinct")
+        _check(self, "phi_p", "squeeze")
 
     @property
     def modes(self):
@@ -98,10 +103,7 @@ class TrilinearCoupler:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not self.eta_tau >= 0:
-            raise ValueError("eta_tau must be >= 0; phases carry all sign structure")
-        if len({self.pump_mode, self.signal_mode, self.idler_mode}) != 3:
-            raise ValueError("trilinear coupler modes must be distinct")
+        _check(self, "phase", "eta_tau")
 
     @property
     def modes(self):
@@ -116,6 +118,9 @@ class TrilinearCoupler:
 class PhaseShift:
     mode: str
     phi: float
+
+    def __post_init__(self):
+        _check(self, "phi")
 
     @property
     def modes(self):
@@ -169,10 +174,12 @@ def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
     """Smallest per-mode cutoff keeping the two-mode-squeezed-vacuum tail <= tol."""
     if squeeze == 0.0:
         return 1
-    t2 = np.tanh(squeeze) ** 2
-    # tail beyond cutoff c is t2^(c+1)
-    c = int(np.ceil(np.log(tail_tol) / np.log(t2))) - 1
-    return max(c, 1)
+    # tail beyond cutoff c is t2^(c+1); log t2 = log1p(-sech^2) is exact where tanh^2 rounds to 1
+    with np.errstate(over="ignore", divide="ignore"):
+        c = np.log(tail_tol) / np.log1p(-np.cosh(squeeze) ** -2.0)
+    if not c < np.inf:
+        raise ValueError(f"squeeze {squeeze} is too large for any Fock cutoff")
+    return max(int(np.ceil(c)) - 1, 1)
 
 
 def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -274,39 +281,28 @@ def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.nda
 # running circuits
 
 
-def compile_circuit(circuit: Circuit, backend: str = "fock"):
-    """Left-to-right composition of the circuit's devices as a pure function.
+def compile_circuit(circuit: Circuit):
+    """The circuit's devices, left to right, as one pure function State -> State
+    on the Fock backend.  Each unitary device is exponentiated here, at compile
+    time, on the sub-registry of its own modes, so spectator modes never inflate
+    its chain blocks and a run only applies the blocks to the state."""
+    reg = circuit.registry
+    steps = [
+        (dev, None)
+        if isinstance(dev, Attenuator)
+        else (dev, device_unitary(reg.subregistry(dev.modes), dev))
+        for dev in circuit.devices
+    ]
 
-    backend="fock" returns PureState/FockDensityOp -> State.  Each unitary
-    device is exponentiated here, once, on the sub-registry of its own modes,
-    so large spectator modes never inflate its chain blocks, and running the
-    compiled circuit only applies the blocks to the state.
-    backend="gaussian" returns GaussianState -> GaussianState, one moment map
-    for all devices; a non-Gaussian device raises NonGaussianDevice when run.
-    """
-    if backend == "fock":
-        reg = circuit.registry
-        steps = [
-            (dev, None)
-            if isinstance(dev, Attenuator)
-            else (dev, device_unitary(reg.subregistry(dev.modes), dev))
-            for dev in circuit.devices
-        ]
+    def run(state: State) -> State:
+        for dev, blocks in steps:
+            if blocks is None:
+                state = apply_loss(state, dev.mode, dev.transmission)
+            else:
+                state = apply_matrix(state, blocks, dev.modes)
+        return state
 
-        def run_fock(state: State) -> State:
-            for dev, blocks in steps:
-                if blocks is None:
-                    state = apply_loss(state, dev.mode, dev.transmission)
-                else:
-                    state = apply_matrix(state, blocks, dev.modes)
-            return state
-
-        return run_fock
-    if backend == "gaussian":
-        from .gaussian import compile_gaussian  # gaussian imports this module
-
-        return compile_gaussian(circuit.registry, circuit.devices)
-    raise ValueError(f"unknown backend {backend!r}")
+    return run
 
 
 def apply_device(state: State, dev: Device) -> State:

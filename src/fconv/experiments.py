@@ -35,7 +35,9 @@ from .fock import (
     quadrature_variance,
     reduced_density,
 )
-from .gaussian import coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+from .gaussian import (
+    coherent_gaussian, compile_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+)
 from .registry import ModeRegistry
 
 
@@ -91,16 +93,20 @@ class WdmSpec:
 
 
 def _backend(name: str):
-    """(prepare, mean_photon, quadrature_variance) of one backend, where
-    prepare(registry, {label: alpha}) is a coherent state, vacuum elsewhere.
+    """(prepare, compile, mean_photon, quadrature_variance) of one backend, where
+    prepare(registry, {label: alpha}) is a coherent state, vacuum elsewhere, and
+    compile(circuit) is the circuit as a function on that backend's states.
 
-    Read from this module's bindings on each call, not from a table, so a
-    wrapper on one of those names (such as the benchmark tracer) sees it.
+    This is the one place that names a backend.  Read from this module's
+    bindings on each call, not from a table, so a wrapper on one of those
+    names (such as the benchmark tracer) sees it.
     """
     if name == "fock":
-        return make_coherent, mean_photon, quadrature_variance
+        return make_coherent, compile_circuit, mean_photon, quadrature_variance
     if name == "gaussian":
-        return coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+        return (
+            coherent_gaussian, compile_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+        )
     raise ValueError(f"unknown backend {name!r}")
 
 
@@ -140,7 +146,7 @@ def run_linearity(
     if not noise_floor >= 0:
         raise ValueError("noise_floor must be >= 0")
 
-    prepare, photons, _ = _backend(backend)
+    prepare, compile_, photons, _ = _backend(backend)
     c = cutoff if cutoff is not None else coherent_required_cutoff(alpha_pump)
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c)])
     conv = Converter("pump", "idler", theta)
@@ -149,7 +155,7 @@ def run_linearity(
     rows = []
     for T in ts:
         # compiled inline, so each point's unitary is freed before the next is built
-        out = compile_circuit(Circuit(registry, (Attenuator("pump", T), conv)), backend)(pump)
+        out = compile_(Circuit(registry, (Attenuator("pump", T), conv)))(pump)
         rows.append((T, (photons(out, "idler") + noise_floor,)))
 
     return ScanResult(
@@ -182,14 +188,14 @@ def run_fringe(
     Degenerate configuration: the idler and the reference sit at half the pump
     frequency, so they interfere directly.
     """
-    prepare, photons, _ = _backend(backend)
+    prepare, compile_, photons, _ = _backend(backend)
     phis = [float(p) for p in phi_p_points]
     amax = max(abs(alpha_pump), abs(alpha_ref)) + 1e-12
     c = cutoff if cutoff is not None else coherent_required_cutoff(amax * np.sqrt(2))
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
     conv = Converter("pump", "idler", theta, phi_s)
     combiner = Converter("idler", "ref", np.pi / 4)
-    run = compile_circuit(Circuit(registry, (conv, combiner)), backend)
+    run = compile_(Circuit(registry, (conv, combiner)))
 
     rows = []
     for phi_p in phis:
@@ -243,23 +249,17 @@ def run_noise_comparison(
     Amplifier(squeeze=s): idler variance grows as (2 sinh^2 s + 1)/4 and the
     idler fills with sinh^2 s spontaneous photons -- the a^dag-term noise.
     """
-    prepare, photons, variance = _backend(backend)
+    prepare, compile_, photons, variance = _backend(backend)
     ss = [float(s) for s in strength_points]
     if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
-    if backend == "fock":
-        # the retained two-mode-squeezed tail feeds straight into the variance
-        # estimate, so size the cutoff from a tail tolerance well below the
-        # 1e-8 accuracy the columns are expected to carry
-        c_amp = (
-            cutoff
-            if cutoff is not None
-            else max(amplifier_required_cutoff(max(ss), tail_tol=1e-10), 5)
-        )
-        c_conv = cutoff if cutoff is not None else 5
-    else:
-        c_amp = c_conv = cutoff if cutoff is not None else 1
+    # one rule for both backends: the retained two-mode-squeezed tail feeds
+    # straight into the Fock variance estimate, so size the cutoff from a tail
+    # tolerance well below the 1e-8 accuracy the columns are expected to carry
+    c_conv = c_amp = cutoff
+    if cutoff is None:
+        c_conv, c_amp = 5, max(amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10), 5)
     reg_conv = ModeRegistry([("pump", 2.0, c_conv), ("idler", 1.0, c_conv)])
     reg_amp = ModeRegistry([("signal", 1.2, c_amp), ("idler", 0.8, c_amp)])
     vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
@@ -269,8 +269,8 @@ def run_noise_comparison(
         # compiled circuits are dropped once run, so only one unitary is held at a time
         conv = Circuit(reg_conv, (Converter("pump", "idler", s),))
         amp = Circuit(reg_amp, (Amplifier("signal", "idler", s),))
-        cstate = compile_circuit(conv, backend)(vac_conv)
-        astate = compile_circuit(amp, backend)(vac_amp)
+        cstate = compile_(conv)(vac_conv)
+        astate = compile_(amp)(vac_amp)
         v_conv = variance(cstate, "idler", 0.0)
         v_amp = variance(astate, "idler", 0.0)
         rows.append((s, (v_conv, v_amp, photons(astate, "idler"))))
@@ -370,7 +370,7 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
     for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1):
         c[[0, k]] = mode_matrix(Converter("pump", f"idler{k}", theta_k, phi_k)) @ c[[0, k]]
     total = float(np.sum(np.abs(c) ** 2))
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise AssertionError(
             f"single-excitation amplitudes lost normalization: sum |c|^2 = {total}"
         )

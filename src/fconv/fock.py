@@ -19,7 +19,7 @@ mutated after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,50 +66,29 @@ class PureState:
                 f"amplitude vector has shape {amp.shape}, registry dim is {self.registry.dim}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # true for a nan or inf norm too
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amp)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class FockDensityOp:
-    """Density operator rho = W W^dag, held as its factor W of shape (dim, r).
-
-    Build it from a matrix, FockDensityOp(registry, rho), which must be
-    Hermitian, of unit trace and positive semidefinite, or from a factor,
-    FockDensityOp(registry, factor=W), whose squared Frobenius norm must be 1.
-    """
+    """Density operator rho = W W^dag, built from its factor W of shape (dim, r) as
+    FockDensityOp(registry, factor=W); the trace of rho, |W|^2, must be 1."""
 
     registry: ModeRegistry
-    factor: np.ndarray
+    factor: np.ndarray = field(kw_only=True)
 
-    def __init__(self, registry: ModeRegistry, matrix=None, *, factor=None):
-        d = registry.dim
-        if (matrix is None) == (factor is None):
-            raise TypeError("give exactly one of matrix and factor")
-        if matrix is not None:
-            rho = np.asarray(matrix, dtype=complex)
-            if rho.shape != (d, d):
-                raise DimensionMismatch(f"density matrix shape {rho.shape}, registry dim {d}")
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-                raise ValueError("density matrix is not Hermitian within 1e-12")
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > 1e-10:
-                raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
-            w, v = np.linalg.eigh(rho)
-            if w[0] < -1e-10:
-                raise ValueError(f"density matrix eigenvalue {w[0]:.3e} is below -1e-10")
-            W = v * np.sqrt(np.clip(w, 0.0, None))
-        else:
-            W = np.asarray(factor, dtype=complex)
-            if W.ndim != 2 or W.shape[0] != d:
-                raise DimensionMismatch(f"density factor shape {W.shape}, registry dim {d}")
-            tr = np.vdot(W, W).real
-            if abs(tr - 1.0) > 1e-10:
-                raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
-            if W.shape[1] > d:
-                W = np.linalg.qr(W.conj().T, mode="r").conj().T
-        object.__setattr__(self, "registry", registry)
+    def __post_init__(self):
+        d = self.registry.dim
+        W = np.asarray(self.factor, dtype=complex)
+        if W.ndim != 2 or W.shape[0] != d:
+            raise DimensionMismatch(f"density factor shape {W.shape}, registry dim {d}")
+        tr = np.vdot(W, W).real
+        if not abs(tr - 1.0) <= 1e-10:  # true for a nan or inf entry too
+            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
+        if W.shape[1] > d:
+            W = np.linalg.qr(W.conj().T, mode="r").conj().T
         object.__setattr__(self, "factor", W)
 
     @cached_property

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (
-    Amplifier, Attenuator, Converter, Device, PhaseShift, TrilinearCoupler, mode_matrix
-)
+from .devices import Amplifier, Attenuator, Circuit, Converter, Device, PhaseShift, mode_matrix
 from .errors import NonGaussianDevice
 from .fock import State, _factor_tensor, destroy
 from .registry import ModeRegistry
@@ -39,14 +37,10 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if means.shape != (n,) or cov.shape != (n, n):
             raise ValueError(f"expected means ({n},) and cov ({n},{n})")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("covariance matrix not symmetric within 1e-12")
+        if not (np.isfinite(means).all() and abs(cov - cov.T).max() <= 1e-12):  # nan fails <=
+            raise ValueError("means and covariance must be finite, cov symmetric within 1e-12")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "cov", cov)
-
-
-def vacuum_gaussian(registry: ModeRegistry) -> GaussianState:
-    return coherent_gaussian(registry, {})
 
 
 def coherent_gaussian(registry: ModeRegistry, alphas: dict[str, complex]) -> GaussianState:
@@ -89,9 +83,7 @@ def device_symplectic(registry: ModeRegistry, dev: Device) -> np.ndarray:
         S[blk(s_, s_)] = S[blk(i, i)] = ch * np.eye(2)
         S[blk(s_, i)] = S[blk(i, s_)] = -sh * _conj_rotation(dev.phi_p)
         return S
-    if isinstance(dev, TrilinearCoupler):
-        raise NonGaussianDevice("trilinear coupler is not a Gaussian transformation")
-    raise NonGaussianDevice(f"{type(dev).__name__} has no symplectic representation")
+    raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
 
 
 def _moment_map(registry: ModeRegistry, dev: Device):
@@ -115,17 +107,15 @@ def _then(first, second):
     return X @ a, Y
 
 
-def compile_gaussian(registry: ModeRegistry, devices):
-    """GaussianState -> GaussianState through ``devices`` as one (X, Y), folded from
-    the first device's map on the first run (a NonGaussianDevice raises there)."""
-    channel = None
+def compile_gaussian(circuit: Circuit):
+    """The circuit's devices as one pure function GaussianState -> GaussianState,
+    folded here, at compile time, into one moment map (X, Y): a non-Gaussian
+    device raises NonGaussianDevice here, and every run is one affine step."""
+    if not circuit.devices:
+        return lambda state: state
+    channel = functools.reduce(_then, [_moment_map(circuit.registry, d) for d in circuit.devices])
 
     def run(state: GaussianState) -> GaussianState:
-        nonlocal channel
-        if not devices:
-            return state
-        if channel is None:
-            channel = functools.reduce(_then, [_moment_map(registry, d) for d in devices])
         return GaussianState(state.registry, *_then((state.means, state.cov), channel))
 
     return run
@@ -133,7 +123,7 @@ def compile_gaussian(registry: ModeRegistry, devices):
 
 def gaussian_apply(state: GaussianState, dev: Device) -> GaussianState:
     """Moment-level action of one device: symplectic map, or the loss CP map."""
-    return compile_gaussian(state.registry, (dev,))(state)
+    return compile_gaussian(Circuit(state.registry, (dev,)))(state)
 
 
 def gaussian_mean_photon(state: GaussianState, mode: str) -> float:

@@ -111,8 +111,12 @@ def test_top_level_cutoff_serves_every_experiment(experiment, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"cutoff": 7}))
     assert parse_args(["--config", str(cfgfile), experiment]).cutoff == 7
-    cfg = parse_args(["--config", str(cfgfile), experiment, "--cutoff", "9"])
-    assert cfg.cutoff == 9  # explicit flag beats the file
+    argv = ["--config", str(cfgfile), experiment, "--cutoff", "9"]
+    if experiment == "wdm":  # the flag cannot apply there, so it is refused, not taken
+        with pytest.raises(ValueError, match="--cutoff does not apply to wdm"):
+            parse_args(argv)
+    else:
+        assert parse_args(argv).cutoff == 9  # explicit flag beats the file
 
 
 def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
@@ -130,6 +134,23 @@ def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
         assert main(argv) == 0
     rows = [l for l in (tmp_path / "fringe.csv").read_text().splitlines() if l[0] != "#"]
     assert len(rows) == 1 + 32  # header, then one row per phase point
+
+
+def test_wdm_refuses_the_cutoff_flag(tmp_path, capsys):
+    # wdm propagates one photon's amplitudes and has no Fock cutoff, so the
+    # flag would otherwise be silently ignored
+    assert main(["wdm", "--cutoff", "3", "-o", str(tmp_path / "w.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fconv: --cutoff does not apply to wdm") and err.count("\n") == 1
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_wdm_takes_a_shared_config_cutoff(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cutoff": 12, "fringe": {"points": 32}}))
+    assert main(["--config", str(cfgfile), "wdm", "-o", str(tmp_path / "cfg.csv")]) == 0
+    assert main(["wdm", "-o", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_bad_channel_flag_names_the_format(capsys):

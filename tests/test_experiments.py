@@ -6,12 +6,10 @@ import pytest
 import fconv.devices
 import fconv.gaussian
 from fconv import (
-    Circuit,
     EnergyConservationViolation,
     ModeRegistry,
     ScanResult,
     WdmSpec,
-    compile_circuit,
     fringe_visibility,
     make_fock,
     make_vacuum,
@@ -44,9 +42,8 @@ def test_scanresult_checks_shape_and_monotonicity():
         lambda b: run_linearity([1.0, 0.5], 0.1, 1.0, backend=b),
         lambda b: run_fringe([0.0, 1.0], 0.8, 0.3, 0.7, backend=b),
         lambda b: run_noise_comparison([0.0, 0.5], backend=b),
-        lambda b: compile_circuit(Circuit(ModeRegistry([("a", 1.0, 2)]), ()), backend=b),
     ],
-    ids=["linearity", "fringe", "noise", "compile_circuit"],
+    ids=["linearity", "fringe", "noise"],
 )
 def test_unknown_backend_rejected(run):
     with pytest.raises(ValueError, match="unknown backend 'qutip'"):
@@ -227,8 +224,19 @@ def test_noise_metadata_records_both_registries():
     res = run_noise_comparison([0.0, 0.2], backend="fock", cutoff=7)
     assert res.metadata["cutoffs"] == "signal=7;idler=7"
     assert res.metadata["converter_cutoffs"] == "pump=7;idler=7"
-    res = run_noise_comparison([0.0, 0.5], backend="gaussian")
-    assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"
+    res = run_noise_comparison([0.0, 0.5], backend="gaussian")  # the Fock rule, recorded
+    assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
+    assert res.metadata["converter_cutoffs"] == "pump=5;idler=5"
+
+
+def test_gaussian_noise_past_tanh_rounding_records_the_fock_rule():
+    # tanh(20)^2 rounds to 1; the shared cutoff rule must still size the record
+    from fconv.devices import amplifier_required_cutoff
+
+    res = run_noise_comparison([0.0, 20.0], backend="gaussian")
+    c = amplifier_required_cutoff(20.0, tail_tol=1e-10)
+    assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
+    assert abs(res.column("amplifier_spontaneous_photons")[1] / np.sinh(20.0) ** 2 - 1) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,7 @@ from fconv.fock import COHERENT_TAIL_TOL, coherent_required_cutoff, poisson_tail
 def random_density(registry, rng):
     d = registry.dim
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    return FockDensityOp(registry, (rho + rho.conj().T) / 2)
+    return FockDensityOp(registry, factor=a / np.linalg.norm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +429,20 @@ def test_factor_width_stays_within_dim_under_repeated_loss():
     assert np.max(np.abs(state.matrix - rho)) < 1e-12
 
 
-def test_density_from_matrix_rejects_negative_eigenvalue():
-    rng = np.random.default_rng(17)
-    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    rho = (q * [0.6 + 1e-6, 0.3, 0.1, -1e-6]) @ q.conj().T
-    rho = (rho + rho.conj().T) / 2  # Hermitian, unit trace, eigenvalue -1e-6
-    with pytest.raises(ValueError, match="eigenvalue"):
-        FockDensityOp(ModeRegistry([("a", 1.0, 3)]), rho)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_states_rejected(bad):
+    # NaN fails every comparison, so a norm check must accept only on `<= tol`
+    reg = ModeRegistry([("a", 1.0, 2)])
+    with pytest.raises(ValueError, match="deviates from 1"):
+        PureState(reg, np.full(3, bad, dtype=complex))
+    with pytest.raises(ValueError, match="deviates from 1"):
+        FockDensityOp(reg, factor=np.full((3, 1), bad, dtype=complex))
+
+
+def test_density_op_is_built_from_its_factor_only():
+    # the factor is keyword-only, so a density matrix passed positionally fails loudly
+    with pytest.raises(TypeError):
+        FockDensityOp(ModeRegistry([("a", 1.0, 1)]), np.eye(2) / 2)
 
 
 def test_density_from_factor_checks_shape_and_norm():

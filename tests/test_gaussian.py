@@ -10,6 +10,7 @@ from fconv import (
     Attenuator,
     Circuit,
     Converter,
+    GaussianState,
     ModeRegistry,
     NonGaussianDevice,
     PhaseShift,
@@ -17,7 +18,6 @@ from fconv import (
     apply_device,
     apply_loss,
     coherent_gaussian,
-    compile_circuit,
     gaussian_apply,
     gaussian_mean_photon,
     gaussian_quadrature_variance,
@@ -26,10 +26,9 @@ from fconv import (
     mean_photon,
     moments_from_fock,
     quadrature_variance,
-    vacuum_gaussian,
 )
 from fconv.devices import mode_matrix
-from fconv.gaussian import device_symplectic
+from fconv.gaussian import compile_gaussian, device_symplectic
 
 
 def symplectic_form(num_modes):
@@ -41,9 +40,23 @@ def two_mode_registry(cutoff=25):
     return ModeRegistry([("p", 2.0, cutoff), ("i", 1.0, cutoff)])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the check
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["means", "cov"])
+def test_gaussian_state_rejects_non_finite_moments(where, bad):
+    # NaN fails every comparison, so the symmetry check alone must not admit it
+    means, cov = np.zeros(2), np.eye(2) / 4
+    if where == "means":
+        means[0] = bad
+    else:
+        cov[0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        GaussianState(ModeRegistry([("a", 1.0, 1)]), means, cov)
+
+
 def test_vacuum_moments():
     reg = two_mode_registry()
-    g = vacuum_gaussian(reg)
+    g = coherent_gaussian(reg, {})
     assert np.allclose(g.means, 0.0)
     assert np.allclose(g.cov, np.eye(4) / 4)
 
@@ -84,7 +97,7 @@ def test_converter_swaps_coherent_pump():
 def test_amplifier_variance_matches_fock():
     r = 0.6
     reg = two_mode_registry(cutoff=30)
-    g = gaussian_apply(vacuum_gaussian(reg), Amplifier("p", "i", r))
+    g = gaussian_apply(coherent_gaussian(reg, {}), Amplifier("p", "i", r))
     var = g.cov[2 * reg.index("i"), 2 * reg.index("i")]
     assert abs(var - (2 * np.sinh(r) ** 2 + 1) / 4) < 1e-12
     f = apply_device(make_vacuum(reg), Amplifier("p", "i", r))
@@ -95,7 +108,7 @@ def test_amplifier_variance_matches_fock():
 def test_tmsv_idler_mean_photon_cross_backend():
     r = 0.5
     reg = two_mode_registry(cutoff=30)
-    g = gaussian_apply(vacuum_gaussian(reg), Amplifier("p", "i", r))
+    g = gaussian_apply(coherent_gaussian(reg, {}), Amplifier("p", "i", r))
     assert abs(gaussian_mean_photon(g, "i") - np.sinh(r) ** 2) < 1e-12
     f = apply_device(make_vacuum(reg), Amplifier("p", "i", r))
     assert abs(mean_photon(f, "i") - gaussian_mean_photon(g, "i")) < 1e-8
@@ -146,7 +159,7 @@ def test_attenuator_channel_on_coherent():
 
 def test_attenuator_keeps_uncertainty_relation():
     reg = two_mode_registry()
-    state = gaussian_apply(vacuum_gaussian(reg), Amplifier("p", "i", 0.7))
+    state = gaussian_apply(coherent_gaussian(reg, {}), Amplifier("p", "i", 0.7))
     state = gaussian_apply(state, Attenuator("i", 0.4))
     omega = symplectic_form(2)
     eig = np.linalg.eigvalsh(state.cov + 0.25j * omega)
@@ -156,7 +169,7 @@ def test_attenuator_keeps_uncertainty_relation():
 def test_trilinear_rejected():
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
     with pytest.raises(NonGaussianDevice):
-        gaussian_apply(vacuum_gaussian(reg), TrilinearCoupler("p", "s", "i", 0.2))
+        gaussian_apply(coherent_gaussian(reg, {}), TrilinearCoupler("p", "s", "i", 0.2))
 
 
 _MODES = ("a", "b", "c")
@@ -190,12 +203,12 @@ def _apply_by_hand(reg, dev, means, cov):
 def test_compiled_circuit_matches_sequential_application(devices, alphas):
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     state = coherent_gaussian(reg, dict(zip(_MODES, alphas)))
-    run = compile_circuit(Circuit(reg, devices), backend="gaussian")
+    run = compile_gaussian(Circuit(reg, devices))
     means, cov, one_by_one = state.means, state.cov, state
     for dev in devices:
         means, cov = _apply_by_hand(reg, dev, means, cov)
         one_by_one = gaussian_apply(one_by_one, dev)
-    # the first run folds the map and the second reuses it
+    # the map is folded at compile time, and every run reuses it
     for out in (one_by_one, run(state), run(state)):
         assert np.max(np.abs(out.means - means)) < 1e-12
         assert np.max(np.abs(out.cov - cov)) < 1e-12
@@ -235,7 +248,7 @@ def test_quadrature_variance_matches_fock(phase):
     # single-mode squeezed, so the variance depends on the phase
     reg = ModeRegistry([("s", 1.0, 24), ("i", 1.0, 24)])
     devices = (Amplifier("s", "i", 0.3, 0.4), Converter("s", "i", np.pi / 4))
-    f, g = make_vacuum(reg), vacuum_gaussian(reg)
+    f, g = make_vacuum(reg), coherent_gaussian(reg, {})
     for dev in devices:
         f, g = apply_device(f, dev), gaussian_apply(g, dev)
     for mode in ("s", "i"):
