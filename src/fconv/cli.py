@@ -316,8 +316,8 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FconvError, OSError, ValueError) as exc:
-        print(f"fconv: {exc}", file=sys.stderr)
+    except (FconvError, OSError, ValueError, MemoryError) as exc:
+        print(f"fconv: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -22,10 +22,10 @@ Each of the three generators is one ladder term L plus its Hermitian
 conjugate, and L moves every occupation by a fixed step: (+1, -1) for the
 converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
 coupler.  The conserved-charge sectors are therefore the chains of Fock
-states along that step inside the cutoff box; `device_unitary` walks them,
-exponentiates each distinct tridiagonal block once (an amplifier's mirror
-chains n_s - n_i = +-d share one; zero strength has none) and keeps the
-blocks, grouped by chain length, in place of a dense unitary.  A block K is
+states along that step inside the cutoff box; `device_unitary` groups them
+by length in place of a dense unitary, and a run that first reaches a group
+exponentiates each of its distinct tridiagonal blocks once (an amplifier's
+mirror chains n_s - n_i = +-d share one; zero strength has none).  A block K is
 anti-Hermitian, so `expm` uses the Hermitian eigendecomposition of iK
 (numpy's `eigh`, no Pade approximant): the unitaries are unitary to machine
 precision whatever the truncation, whose error shows up only as state
@@ -182,21 +182,45 @@ def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
     return max(int(np.ceil(c)) - 1, 1)
 
 
-def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray, np.ndarray]]:
-    """exp(K) for one unitary device on ``registry``, as chain blocks.
+class ChainGroups(list):
+    """[idx, B] per chain length n: the flat indices idx (g, n) of g chains and
+    their exponentials B (g, n, n), None until `build`.  State j's ladder element
+    is ``coupling * elem[j]`` and its group ``group_of[j]`` (-1: on no chain)."""
+
+    def __init__(self, groups=(), coupling=0.0, elem=None, group_of=None):
+        super().__init__(groups)
+        self.coupling, self.elem, self.group_of = coupling, elem, group_of
+
+    def build(self, g: int) -> np.ndarray:
+        """Group g's blocks, built once: one `expm` per distinct row (mirror chains)."""
+        if self[g][1] is None:
+            blocks, B = {}, []
+            for chain in self[g][0]:
+                row = self.coupling * self.elem[chain[:-1]]
+                key = row.tobytes()
+                if key not in blocks:
+                    k = np.diag(row, -1)
+                    blocks[key] = expm(k - k.conj().T)
+                B.append(blocks[key])
+            self[g][1] = np.array(B)
+        return self[g][1]
+
+
+def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
+    """exp(K) for one unitary device on ``registry``, as chain groups.
 
     Every device but PhaseShift has K = c L - c^* L^dag for its one ladder
     term L, which moves |n> to |n + step>, so K only couples states along
     chains n, n + step, ... inside the cutoff box: the conserved-charge
-    sectors.  Returns one (idx, B) per chain length n >= 2, the flat indices
-    idx (g, n) of g chains and their exponentials B (g, n, n); states on no
-    chain are unchanged; chains with equal ladder elements share one block, and
-    zero strength (c = 0, phi = 0) gives none.  PhaseShift is one n = 1 group.
+    sectors.  Returns one group per chain length n >= 2, its blocks not yet
+    exponentiated; states on no chain are unchanged, and zero strength
+    (c = 0, phi = 0) gives no group.  PhaseShift is one built n = 1 group.
     """
     occ = registry.occupations()
     if isinstance(dev, PhaseShift):
         phases = np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)])
-        return [(np.arange(registry.dim)[:, None], phases[:, None, None])] if dev.phi else []
+        idx = np.arange(registry.dim)[:, None]
+        return ChainGroups([[idx, phases[:, None, None]]] if dev.phi else [])
     if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
         raise TypeError(f"{type(dev).__name__} has no unitary representation")
     if isinstance(dev, Amplifier):
@@ -212,7 +236,7 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
     step, c = dev.ladder
     axes = [registry.index(m) for m in dev.modes]
     if c == 0:  # exp(0) = I: no chain to apply
-        return []
+        return ChainGroups()
     up = np.array(step) > 0
     n, cut = occ[:, axes], np.array(registry.cutoffs)[axes]
     ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
@@ -222,19 +246,13 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> list[tuple[np.ndarray
     strides = np.cumprod((1,) + registry.dims[:0:-1])[::-1]
     jump = int(strides[axes] @ step)  # flat-index change of one step
     starts = np.nonzero((behind == 0) & (ahead > 0))[0]  # chains of two or more states
-    groups = []
-    for steps in np.flatnonzero(np.bincount(ahead[starts])):  # np.unique imports numpy.ma
-        idx = starts[ahead[starts] == steps][:, None] + jump * np.arange(steps + 1)
-        blocks, B = {}, []  # equal rows, as on an amplifier's mirror chains, share one exp
-        for chain in idx:
-            row = c * elem[chain[:-1]]
-            key = row.tobytes()
-            if key not in blocks:
-                k = np.diag(row, -1)
-                blocks[key] = expm(k - k.conj().T)
-            B.append(blocks[key])
-        groups.append((idx, np.array(B)))
-    return groups
+    lengths = np.flatnonzero(np.bincount(ahead[starts]))  # np.unique imports numpy.ma
+    groups = [
+        [starts[ahead[starts] == steps][:, None] + jump * np.arange(steps + 1), None]
+        for steps in lengths
+    ]
+    span = ahead + behind  # steps along the chain through each state
+    return ChainGroups(groups, c, elem, np.where(span > 0, np.searchsorted(lengths, span), -1))
 
 
 def mode_matrix(dev: Device) -> np.ndarray:
@@ -283,9 +301,9 @@ def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.nda
 
 def compile_circuit(circuit: Circuit):
     """The circuit's devices, left to right, as one pure function State -> State
-    on the Fock backend.  Each unitary device is exponentiated here, at compile
+    on the Fock backend.  Each unitary device's chains are walked here, at compile
     time, on the sub-registry of its own modes, so spectator modes never inflate
-    its chain blocks and a run only applies the blocks to the state."""
+    them; a group's blocks are built on the first run that reaches one of its chains."""
     reg = circuit.registry
     steps = [
         (dev, None)

@@ -229,13 +229,15 @@ def _factor_tensor(state: State) -> np.ndarray:
 
 
 def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
-    """Apply a device's chain blocks, as `devices.device_unitary` returns them.
+    """Apply a device's chain groups, as `devices.device_unitary` returns them.
 
-    ``op`` lists (idx, B) groups over the flat index of the sub-registry of
+    ``op`` lists [idx, B] groups over the flat index of the sub-registry of
     ``modes``.  With the mode axes moved to the front, the state is a matrix
     X of shape (sub_dim, rest); each group maps the rows X[idx] of its chains
     to B @ X[idx], one batched matmul per chain length, and every other row
-    is left unchanged.  Pure states: psi -> U psi.  Density operators:
+    is left unchanged.  A group not built yet (B is None) is built by
+    ``op.build`` if X has a nonzero row on its chains, and skipped otherwise:
+    B @ 0 = 0 exactly.  Pure states: psi -> U psi.  Density operators:
     W -> U W (rho -> U rho U^dag).  Used by the device layer, which
     guarantees unitarity by construction.
     """
@@ -244,7 +246,15 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
     front = tuple(range(len(axes)))
     t = np.moveaxis(_factor_tensor(state), axes, front).copy()
     X = t.reshape(int(np.prod(t.shape[: len(axes)])), -1)  # a view of the copy
-    for idx, B in op:
+    reached = None
+    for g, (idx, B) in enumerate(op):
+        if B is None:
+            if reached is None:  # one pass over X serves every unbuilt group
+                reached = np.zeros(len(op) + 1, dtype=bool)  # last entry: no chain
+                reached[op.group_of[X.any(axis=1)]] = True
+            if not reached[g]:
+                continue
+            B = op.build(g)
         X[idx] = B @ X[idx]
     out = np.moveaxis(t, front, axes).reshape(reg.dim, -1)
     if isinstance(state, PureState):
@@ -265,16 +275,19 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     axis = reg.index(mode)
     d = reg.dims[axis]
     t = np.moveaxis(_factor_tensor(state), axis, 0)
-    out = np.zeros(t.shape + (d,), dtype=complex)  # last axis: branch k
-    for k in range(d):
-        amp = np.sqrt(
-            [
-                math.comb(n, k) * (1.0 - transmission) ** k * transmission ** (n - k)
-                for n in range(k, d)
-            ]
-        )
-        out[: d - k, ..., k] = amp.reshape((-1,) + (1,) * (t.ndim - 1)) * t[k:]
-    out = np.moveaxis(out, 0, axis)
+    lost = [(1.0 - transmission) ** k for k in range(d)]
+    kept = [transmission**m for m in range(d)]
+    # amp[m, k] = <m| K_k |m + k>, zero where m + k > cutoff
+    amp = np.sqrt(
+        [
+            [math.comb(m + k, k) * lost[k] * kept[m] for k in range(d - m)] + [0.0] * m
+            for m in range(d)
+        ]
+    )
+    # out[m, ..., k] = amp[m, k] t[m + k], gathered from t padded with d zero levels
+    out = np.concatenate((t, np.zeros_like(t)))[np.arange(d)[:, None] + np.arange(d)]
+    out *= amp.reshape(amp.shape + (1,) * (t.ndim - 1))
+    out = np.moveaxis(out, (0, 1), (axis, -1))
     return FockDensityOp(reg, factor=out.reshape(reg.dim, -1))
 
 
@@ -309,8 +322,8 @@ def mean_photon(state: State, mode: str) -> float:
 def quadrature_variance(state: State, mode: str, phase: float) -> float:
     """Variance of X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; vacuum gives 1/4."""
     W = reduced_density(state, [mode]).factor
-    d = W.shape[0]
-    x = (destroy(d) * np.exp(-1j * phase) + destroy(d).conj().T * np.exp(1j * phase)) / 2
+    a = destroy(W.shape[0])
+    x = (a * np.exp(-1j * phase) + a.conj().T * np.exp(1j * phase)) / 2
     xW = x @ W
     # x is Hermitian: Tr(rho x) = <W, x W> and Tr(rho x x) = |x W|^2
     ex = np.vdot(W, xW).real

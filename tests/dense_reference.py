@@ -1,8 +1,8 @@
 """Dense references for tests: the device unitary as one full matrix, and
 the single-photon WDM cascade on the full Fock registry.
 
-`fconv.devices.device_unitary` keeps a device's unitary as chain blocks and
-never forms the dim x dim matrix; tests that compare against a dense oracle
+`fconv.devices.device_unitary` keeps a device's unitary as chain blocks,
+built on demand, and never forms the dim x dim matrix; tests that compare against a dense oracle
 (scipy's expm, Heisenberg-picture operators) scatter the blocks into one.
 `fconv.experiments.run_wdm` propagates only the single-excitation
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
@@ -15,10 +15,12 @@ from fconv.devices import device_unitary
 
 
 def dense_unitary(registry, dev) -> np.ndarray:
-    """The (dim, dim) unitary of ``dev`` on ``registry``, identity off its chains."""
+    """The (dim, dim) unitary of ``dev`` on ``registry``, identity off its chains;
+    every chain group is built, reached by a state or not."""
     U = np.eye(registry.dim, dtype=complex)
-    for idx, B in device_unitary(registry, dev):
-        U[idx[:, :, None], idx[:, None, :]] = B
+    groups = device_unitary(registry, dev)
+    for g, (idx, _) in enumerate(groups):
+        U[idx[:, :, None], idx[:, None, :]] = groups.build(g)
     return U
 
 

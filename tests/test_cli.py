@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fconv.cli
 from fconv import ScanResult
 from fconv.cli import EXPERIMENTS, main, parse_args, write_csv
 
@@ -218,6 +219,25 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
     rc = main(["wdm", "--pump-frequency", "1.0", "--channel", "1.2:0.5", "-o", str(out)])
     assert rc == 1
     assert "fconv:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 12.8 TiB"), "fconv: Unable to allocate 12.8 TiB"),
+        (MemoryError(), "fconv: MemoryError"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_path, capsys):
+    # a scan too large for memory, raised where the runner allocates its state
+    def runner(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fconv.cli, "run_noise_comparison", runner)
+    assert main(["noise", "--backend", "fock", "-o", str(tmp_path / "n.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "n.csv").exists()
 
 
 @pytest.mark.parametrize(

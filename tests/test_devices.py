@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import comb
 
+import fconv.cli
 import fconv.devices
 from fconv import (
     Amplifier,
@@ -14,9 +15,11 @@ from fconv import (
     Circuit,
     Converter,
     CutoffTooSmall,
+    FockDensityOp,
     ModeRegistry,
     NonGaussianDevice,
     PhaseShift,
+    PureState,
     TrilinearCoupler,
     UnknownMode,
     apply_device,
@@ -496,11 +499,13 @@ def test_gaussian_compile_rejects_trilinear():
 def test_chain_blocks_are_disjoint_unitary_groups_by_length(modes, dev):
     reg = ModeRegistry(modes)
     groups = device_unitary(reg, dev)
+    assert all(B is None for _, B in groups)  # built on demand
     sizes = [idx.shape[1] for idx, _ in groups]
     assert sizes == sorted(set(sizes)) and min(sizes) >= 2
     flat = np.concatenate([idx.ravel() for idx, _ in groups])
     assert len(set(flat)) == len(flat) and flat.max() < reg.dim
-    for idx, B in groups:
+    for g, (idx, _) in enumerate(groups):
+        B = groups.build(g)
         assert B.shape == idx.shape + idx.shape[1:]
         eye = np.eye(idx.shape[1])
         assert np.max(np.abs(B.conj().transpose(0, 2, 1) @ B - eye)) < 1e-12
@@ -558,23 +563,65 @@ def expm_calls(monkeypatch):
 def test_each_distinct_block_is_exponentiated_once(cutoffs, dev, calls, expm_calls):
     reg = ModeRegistry([("s", 1.0, cutoffs[0]), ("i", 1.0, cutoffs[1])])
     groups = device_unitary(reg, dev)
+    assert expm_calls == []  # the chain walk exponentiates nothing
+    built = [groups.build(g) for g in range(len(groups))]
     assert len(expm_calls) == calls
+    # building again returns the kept blocks and exponentiates nothing
+    assert all(groups.build(g) is B for g, B in enumerate(built)) and len(expm_calls) == calls
     # a shared block is bitwise the exponential of each of its chains' own block
     step, c = dev.ladder
     n = reg.occupations()
     elem = np.sqrt(np.where(np.array(step) > 0, n + 1, n).prod(axis=1))
-    for idx, B in groups:
+    for (idx, _), B in zip(groups, built):
         for chain, block in zip(idx, B):
             k = np.diag(c * elem[chain[:-1]], -1)
             assert np.array_equal(block, chain_expm(k - k.conj().T))
 
 
-def test_noise_scan_from_zero_strength_exponentiates_34_blocks(expm_calls):
+def test_noise_scan_from_zero_strength_exponentiates_one_block(expm_calls):
     # at s = 0.75 the converter (cutoff 5) has 9 distinct blocks and the
-    # amplifier (cutoff 25) 25 for its 49 chains; at s = 0 neither device
-    # has a block (116 exponentials when every chain took its own)
+    # amplifier (cutoff 25) 25 for its 49 chains, 34 in all; at s = 0 neither
+    # device has a block.  Vacuum reaches only the amplifier's n_s = n_i chain:
+    # the converter's vacuum is a one-state chain
     run_noise_comparison([0.0, 0.75], backend="fock")
-    assert len(expm_calls) == 34
+    assert expm_calls == [26]
+
+
+def test_default_fock_noise_scan_exponentiates_one_block_per_strength(expm_calls):
+    # 11 strengths in [0, 1], cutoff 42: 510 blocks when every group was built
+    run_noise_comparison(np.linspace(0.0, 1.0, 11), backend="fock")
+    assert expm_calls == [43] * 10
+
+
+def test_default_linearity_scan_builds_every_converter_group(monkeypatch, expm_calls, tmp_path):
+    # the coherent pump reaches every chain-length group of the cutoff-12
+    # converter, so each of the 9 transmissions builds all 23 distinct blocks
+    built = []
+    original = fconv.devices.device_unitary
+    monkeypatch.setattr(
+        fconv.devices, "device_unitary", lambda reg, dev: built.append(dev) or original(reg, dev)
+    )
+    assert fconv.cli.main(["linearity", "-o", str(tmp_path / "lin.csv")]) == 0
+    assert len(built) == 9
+    assert len(expm_calls) == 207
+
+
+def test_compiled_circuit_builds_each_group_once_across_runs(expm_calls):
+    # cutoff 8, equal on both modes: one distinct block per chain-length group
+    reg = ModeRegistry([("s", 1.0, 8), ("i", 1.0, 8)])
+    circ = Circuit(reg, [Amplifier("s", "i", 0.2, 0.4)])
+    run = compile_circuit(circ)
+    run(make_vacuum(reg))
+    assert expm_calls == [9]  # the n_s = n_i chain alone
+    coherent = make_coherent(reg, {"s": 0.3})  # reaches every chain n_s - n_i = d >= 0
+    second = run(coherent)
+    assert len(expm_calls) == 8  # the 7 groups vacuum left unbuilt
+    fresh = compile_circuit(circ)(coherent)
+    assert len(expm_calls) == 16
+    assert np.array_equal(second.amplitudes, fresh.amplitudes)
+    third = run(coherent)
+    assert len(expm_calls) == 16
+    assert np.array_equal(third.amplitudes, fresh.amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -602,11 +649,9 @@ _DENSE_CASES = {
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_chain_blocks_match_dense_expm_of_generator(data):
-    # independent oracle: scipy's dense expm of the Kronecker-built generator,
-    # on cutoffs that are equal (shared mirror blocks) or not
+def _draw_device(data):
+    """(registry, device, strength, dense generator) on cutoffs that are equal
+    (shared mirror blocks) or not."""
     kind = data.draw(st.sampled_from(sorted(_DENSE_CASES)), label="device")
     num_modes, generator, build = _DENSE_CASES[kind]
     cutoffs = data.draw(st.lists(st.integers(1, 8), min_size=num_modes, max_size=num_modes))
@@ -618,5 +663,53 @@ def test_chain_blocks_match_dense_expm_of_generator(data):
     if kind == "amplifier":  # stay inside the squeezed-vacuum tail guard
         strength *= np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
     dev = build(modes, strength, data.draw(st.floats(-np.pi, np.pi), label="phase"))
+    return reg, dev, strength, generator
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chain_blocks_match_dense_expm_of_generator(data):
+    # independent oracle: scipy's dense expm of the Kronecker-built generator
+    reg, dev, strength, generator = _draw_device(data)
     U_dense = expm(strength * generator(reg, dev))
     assert np.max(np.abs(dense_unitary(reg, dev) - U_dense)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_on_some_chains_matches_dense_and_every_group_built(data):
+    # a state on a random subset of the chains (and of the states on none):
+    # the groups it leaves unbuilt must not change the result
+    reg, dev, _, _ = _draw_device(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    share = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]), label="share of chains")
+    groups = device_unitary(reg, dev)
+    branches = data.draw(st.integers(1, 2), label="branches")
+    W = rng.standard_normal((reg.dim, branches)) + 1j * rng.standard_normal((reg.dim, branches))
+    for column in W.T:  # each branch on its own subset
+        off = rng.random(reg.dim) >= share  # states on no chain
+        for idx, _ in groups:
+            off[idx] = (rng.random(len(idx)) >= share)[:, None]
+        column[off] = 0
+    W[rng.integers(reg.dim), 0] = 1  # never the zero vector
+    W /= np.linalg.norm(W)
+    state = PureState(reg, W[:, 0]) if branches == 1 else FockDensityOp(reg, factor=W)
+
+    def factor(out):
+        return out.amplitudes[:, None] if branches == 1 else out.factor
+
+    circ = Circuit(reg, [dev])
+    lazy = factor(compile_circuit(circ)(state))
+    assert np.max(np.abs(lazy - dense_unitary(reg, dev) @ W)) < 1e-12
+    original = fconv.devices.device_unitary
+
+    def forced(registry, device):
+        out = original(registry, device)
+        for g in range(len(out)):
+            out.build(g)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fconv.devices, "device_unitary", forced)
+        eager = factor(compile_circuit(circ)(state))
+    assert np.array_equal(lazy, eager)

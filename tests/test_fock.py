@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -286,6 +287,37 @@ def test_loss_matches_kraus_sum(mode):
     out = apply_loss(rho, mode, 0.37)
     want = kraus_loss_reference(rho, reg.index(mode), 0.37)
     assert np.max(np.abs(out.matrix - want)) < 1e-13
+
+
+def loop_loss_factor(state, axis, transmission):
+    # the per-branch loop apply_loss ran before it gathered every branch at once
+    W = state.factor if isinstance(state, FockDensityOp) else state.amplitudes[:, None]
+    reg = state.registry
+    d = reg.dims[axis]
+    t = np.moveaxis(W.reshape(reg.dims + W.shape[1:]), axis, 0)
+    out = np.zeros(t.shape + (d,), dtype=complex)
+    for k in range(d):
+        amp = np.sqrt(
+            [
+                math.comb(n, k) * (1.0 - transmission) ** k * transmission ** (n - k)
+                for n in range(k, d)
+            ]
+        )
+        out[: d - k, ..., k] = amp.reshape((-1,) + (1,) * (t.ndim - 1)) * t[k:]
+    return FockDensityOp(reg, factor=np.moveaxis(out, 0, axis).reshape(reg.dim, -1)).factor
+
+
+@pytest.mark.parametrize("transmission", [1.0, 0.3, 0.01, 0.0])
+def test_loss_equals_the_per_branch_loop_bitwise(transmission):
+    rng = np.random.default_rng(17)
+    reg = ModeRegistry([("a", 1.0, 4), ("b", 1.0, 3), ("c", 1.0, 2)])
+    pure = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+    pure[rng.random(reg.dim) < 0.3] = 0  # exact zeros, whose signs must survive too
+    mixed = random_density(reg, rng)
+    for state in (PureState(reg, -pure / np.linalg.norm(pure)), mixed):
+        for axis, mode in enumerate("abc"):
+            out = apply_loss(state, mode, transmission).factor
+            assert np.array_equal(out, loop_loss_factor(state, axis, transmission))
 
 
 def test_loss_preserves_positivity():
