@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FconvError, OSError, ValueError, MemoryError) as exc:
+    except (FconvError, OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"fconv: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

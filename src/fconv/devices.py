@@ -34,6 +34,7 @@ leakage, which the constructors guard against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -206,6 +207,29 @@ class ChainGroups(list):
         return self[g][1]
 
 
+@functools.lru_cache(maxsize=8)
+def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
+    """The coupling-free part of `device_unitary`: ``(idx per group, elem,
+    group_of)`` of the chains along ``step`` over ``axes`` of the cutoff box,
+    walked once per box and kept read-only for every coupling."""
+    dims, ax, up = np.array(cutoffs) + 1, list(axes), np.array(step) > 0
+    n, cut = np.indices(dims).reshape(len(dims), -1).T[:, ax], dims[ax] - 1
+    ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
+    behind = np.where(up, n, cut - n).min(axis=1)  # zero on a chain's first state
+    # <n + step| L |n>: sqrt(n_m + 1) per raised mode, sqrt(n_m) per lowered one
+    elem = np.sqrt(np.where(up, n + 1, n).prod(axis=1))
+    strides = np.cumprod(np.append(1, dims[:0:-1]))[::-1]
+    jump = int(strides[ax] @ step)  # flat-index change of one step
+    starts = np.nonzero((behind == 0) & (ahead > 0))[0]  # chains of two or more states
+    lengths = np.flatnonzero(np.bincount(ahead[starts]))  # np.unique imports numpy.ma
+    idx = tuple(starts[ahead[starts] == s][:, None] + jump * np.arange(s + 1) for s in lengths)
+    span = ahead + behind  # steps along the chain through each state
+    group_of = np.where(span > 0, np.searchsorted(lengths, span), -1)
+    for a in (*idx, elem, group_of):
+        a.flags.writeable = False
+    return idx, elem, group_of
+
+
 def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     """exp(K) for one unitary device on ``registry``, as chain groups.
 
@@ -215,10 +239,10 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     sectors.  Returns one group per chain length n >= 2, its blocks not yet
     exponentiated; states on no chain are unchanged, and zero strength
     (c = 0, phi = 0) gives no group.  PhaseShift is one built n = 1 group.
+    The chains come from the cached `_walk_chains`; the blocks are this call's own.
     """
-    occ = registry.occupations()
     if isinstance(dev, PhaseShift):
-        phases = np.exp(1j * dev.phi * occ[:, registry.index(dev.mode)])
+        phases = np.exp(1j * dev.phi * registry.occupations()[:, registry.index(dev.mode)])
         idx = np.arange(registry.dim)[:, None]
         return ChainGroups([[idx, phases[:, None, None]]] if dev.phi else [])
     if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
@@ -234,25 +258,11 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
                 required_cutoff=need,
             )
     step, c = dev.ladder
-    axes = [registry.index(m) for m in dev.modes]
+    axes = tuple(registry.index(m) for m in dev.modes)
     if c == 0:  # exp(0) = I: no chain to apply
         return ChainGroups()
-    up = np.array(step) > 0
-    n, cut = occ[:, axes], np.array(registry.cutoffs)[axes]
-    ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
-    behind = np.where(up, n, cut - n).min(axis=1)  # zero on a chain's first state
-    # <n + step| L |n>: sqrt(n_m + 1) per raised mode, sqrt(n_m) per lowered one
-    elem = np.sqrt(np.where(up, n + 1, n).prod(axis=1))
-    strides = np.cumprod((1,) + registry.dims[:0:-1])[::-1]
-    jump = int(strides[axes] @ step)  # flat-index change of one step
-    starts = np.nonzero((behind == 0) & (ahead > 0))[0]  # chains of two or more states
-    lengths = np.flatnonzero(np.bincount(ahead[starts]))  # np.unique imports numpy.ma
-    groups = [
-        [starts[ahead[starts] == steps][:, None] + jump * np.arange(steps + 1), None]
-        for steps in lengths
-    ]
-    span = ahead + behind  # steps along the chain through each state
-    return ChainGroups(groups, c, elem, np.where(span > 0, np.searchsorted(lengths, span), -1))
+    idx, elem, group_of = _walk_chains(registry.cutoffs, axes, step)
+    return ChainGroups([[i, None] for i in idx], c, elem, group_of)
 
 
 def mode_matrix(dev: Device) -> np.ndarray:

@@ -266,7 +266,8 @@ def run_noise_comparison(
 
     rows = []
     for s in ss:
-        # compiled circuits are dropped once run, so only one unitary is held at a time
+        # compiled circuits are dropped once run, so only one device's blocks are
+        # held at a time; the chain walks of the two boxes are cached and shared
         conv = Circuit(reg_conv, (Converter("pump", "idler", s),))
         amp = Circuit(reg_amp, (Amplifier("signal", "idler", s),))
         cstate = compile_(conv)(vac_conv)

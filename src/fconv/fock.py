@@ -236,26 +236,28 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
     X of shape (sub_dim, rest); each group maps the rows X[idx] of its chains
     to B @ X[idx], one batched matmul per chain length, and every other row
     is left unchanged.  A group not built yet (B is None) is built by
-    ``op.build`` if X has a nonzero row on its chains, and skipped otherwise:
-    B @ 0 = 0 exactly.  Pure states: psi -> U psi.  Density operators:
+    ``op.build`` if the state has a nonzero row on its chains, and skipped
+    otherwise: B @ 0 = 0 exactly.  With no group to apply, the state itself
+    is returned.  Pure states: psi -> U psi.  Density operators:
     W -> U W (rho -> U rho U^dag).  Used by the device layer, which
     guarantees unitarity by construction.
     """
     reg = state.registry
     axes = tuple(reg.index(m) for m in modes)
     front = tuple(range(len(axes)))
-    t = np.moveaxis(_factor_tensor(state), axes, front).copy()
+    t = np.moveaxis(_factor_tensor(state), axes, front)  # a view until a group applies
+    live = [B is not None for _, B in op]
+    if not all(live):  # one pass over the state serves every unbuilt group
+        reached = np.zeros(len(op) + 1, dtype=bool)  # last entry: no chain
+        reached[op.group_of[t.any(axis=tuple(range(len(axes), t.ndim))).ravel()]] = True
+        live = [b or r for b, r in zip(live, reached)]
+    if not any(live):
+        return state
+    t = t.copy()
     X = t.reshape(int(np.prod(t.shape[: len(axes)])), -1)  # a view of the copy
-    reached = None
-    for g, (idx, B) in enumerate(op):
-        if B is None:
-            if reached is None:  # one pass over X serves every unbuilt group
-                reached = np.zeros(len(op) + 1, dtype=bool)  # last entry: no chain
-                reached[op.group_of[X.any(axis=1)]] = True
-            if not reached[g]:
-                continue
-            B = op.build(g)
-        X[idx] = B @ X[idx]
+    for g, (idx, _) in enumerate(op):
+        if live[g]:
+            X[idx] = op.build(g) @ X[idx]
     out = np.moveaxis(t, front, axes).reshape(reg.dim, -1)
     if isinstance(state, PureState):
         return PureState(reg, out[:, 0])

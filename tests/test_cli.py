@@ -226,11 +226,16 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
     [
         (MemoryError("Unable to allocate 12.8 TiB"), "fconv: Unable to allocate 12.8 TiB"),
         (MemoryError(), "fconv: MemoryError"),
+        # math.comb in the loss channel leaves the float range at cutoff >= 1030
+        (
+            OverflowError("int too large to convert to float"),
+            "fconv: int too large to convert to float",
+        ),
     ],
-    ids=["numpy-message", "bare"],
+    ids=["numpy-message", "bare", "overflow"],
 )
 def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_path, capsys):
-    # a scan too large for memory, raised where the runner allocates its state
+    # a scan too large for memory or for floats, raised where the runner allocates its state
     def runner(*args, **kwargs):
         raise exc
 

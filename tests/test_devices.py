@@ -40,7 +40,7 @@ from fconv.devices import (
     trilinear_generator,
 )
 from fconv.devices import expm as chain_expm
-from fconv.fock import annihilation_matrix
+from fconv.fock import annihilation_matrix, apply_matrix, to_density
 from fconv.gaussian import compile_gaussian
 
 from dense_reference import dense_unitary
@@ -640,6 +640,90 @@ def test_zero_strength_device_has_no_blocks(dev, expm_calls):
     assert expm_calls == []
     psi = random_pure(reg, np.random.default_rng(5))
     assert np.array_equal(apply_device(psi, dev).amplitudes, psi.amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# the chain walk, cached per cutoff box, modes and step
+
+
+@pytest.fixture
+def walks():
+    """The chain-walk cache, emptied, so its counters count this test's walks."""
+    fconv.devices._walk_chains.cache_clear()
+    return fconv.devices._walk_chains
+
+
+def test_equal_box_modes_and_step_walk_once(walks, expm_calls):
+    reg = ModeRegistry([("p", 2.0, 6), ("i", 1.0, 6)])
+    first = device_unitary(reg, Converter("p", "i", 0.3))
+    second = device_unitary(reg, Converter("p", "i", 0.9, 0.5))
+    assert (walks.cache_info().misses, walks.cache_info().hits) == (1, 1)
+    assert all(a[0] is b[0] for a, b in zip(first, second))  # shared chains
+    # each call keeps blocks of its own coupling: the four-state chains of
+    # totals 3 and 9 are two distinct blocks per device
+    assert not np.array_equal(first.build(2), second.build(2))
+    assert len(expm_calls) == 4
+
+
+@pytest.mark.parametrize(
+    "cutoffs, axes, step",
+    [
+        ((5, 3), (0, 1), (1, -1)),
+        ((5, 3), (1, 0), (1, -1)),  # the same modes in the other order
+        ((5, 3), (0, 1), (1, 1)),  # amplifier step
+        ((3, 5), (0, 1), (1, -1)),
+        ((4, 2, 3), (0, 1, 2), (1, -1, -1)),
+        ((4, 2, 3), (2, 0), (1, -1)),  # a spectator mode
+    ],
+)
+def test_walk_keys_never_share_an_entry_and_match_an_uncached_walk(walks, cutoffs, axes, step):
+    others = [((5, 3), (0, 1), (1, -1)), ((5, 3), (1, 0), (1, 1)), ((4, 2, 3), (0, 2), (1, -1))]
+    for key in others:
+        walks(*key)
+    misses = walks.cache_info().misses
+    idx, elem, group_of = walks(cutoffs, axes, step)
+    assert walks.cache_info().misses == misses + ((cutoffs, axes, step) not in others)
+    ref_idx, ref_elem, ref_group_of = walks.__wrapped__(cutoffs, axes, step)
+    assert len(idx) == len(ref_idx)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(idx, ref_idx))
+    assert np.array_equal(elem, ref_elem) and np.array_equal(group_of, ref_group_of)
+
+
+def test_cached_walk_is_read_only(walks):
+    reg = ModeRegistry([("s", 1.0, 4), ("i", 1.0, 4)])
+    groups = device_unitary(reg, Amplifier("s", "i", 0.01))
+    for array in (groups[0][0], groups.elem, groups.group_of):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_default_fock_noise_scan_walks_two_boxes(walks):
+    # 11 strengths: s = 0 walks nothing, the other 10 share the converter's
+    # and the amplifier's box
+    run_noise_comparison(np.linspace(0.0, 1.0, 11), backend="fock")
+    assert (walks.cache_info().misses, walks.cache_info().hits) == (2, 18)
+
+
+def test_default_fringe_scan_walks_one_box(walks, tmp_path):
+    # the converter and the combiner act on equal cutoffs along the same step
+    assert fconv.cli.main(["fringe", "-o", str(tmp_path / "fringe.csv")]) == 0
+    assert (walks.cache_info().misses, walks.cache_info().hits) == (1, 1)
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+@pytest.mark.parametrize(
+    "dev, prepare",
+    [
+        (Converter("p", "i", 0.0), lambda reg: random_pure(reg, np.random.default_rng(2))),
+        (Converter("p", "i", 0.7), make_vacuum),  # vacuum is a one-state chain
+    ],
+    ids=["zero-strength", "converter-on-vacuum"],
+)
+def test_apply_matrix_returns_its_input_when_no_group_applies(dev, prepare, density, expm_calls):
+    reg = ModeRegistry([("p", 2.0, 4), ("i", 1.0, 3)])
+    state = to_density(prepare(reg)) if density else prepare(reg)
+    assert apply_matrix(state, device_unitary(reg, dev), dev.modes) is state
+    assert expm_calls == []
 
 
 _DENSE_CASES = {

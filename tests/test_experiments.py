@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fconv.devices
 import fconv.gaussian
@@ -272,19 +274,24 @@ def test_depletion_six_pump_photons_allocates_no_dense_unitary():
     assert peak < 5e6
 
 
-def depletion_fidelity_closed_form(alpha_s):
-    """F(alpha_s) = sum_n Poisson_n(alpha_s^2) sin^2(pi sqrt(n + 1) / (2 alpha_s)).
+def depletion_fidelity_closed_form(alpha_s, theta=np.pi / 2):
+    """F = sum_k |cos(theta) c_k cos(eta sqrt(k + 1)) + sin(theta) c_{k-1} sin(eta sqrt(k))|^2.
 
-    A one-photon pump with coherent signal and vacuum idler: the coupler
-    (eta_tau = theta / alpha_s) only mixes |1, n, 0> with |0, n + 1, 1>, at
-    matrix element sqrt(n + 1).  Holds at theta = pi/2 only: there the target
-    is |0, 1> and the fidelity is the converted population; at other theta
-    the target keeps a |1, 0> part and picks up coherences between
-    neighbouring signal numbers.
+    A one-photon pump with coherent signal (amplitudes c_k) and vacuum idler:
+    the coupler (eta = theta / alpha_s) only mixes |1, k, 0> with
+    |0, k + 1, 1>, at matrix element sqrt(k + 1), and the converter target
+    is cos(theta) |1, 0> - sin(theta) |0, 1>.  Signal number k picks up the
+    target's |1, 0> part from |1, k, 0> and its |0, 1> part from
+    |0, k, 1>; at theta = pi/2 only the Rabi populations remain.
     """
-    n = np.arange(int(alpha_s**2 + 20 * alpha_s + 50))
-    log_poisson = n * np.log(alpha_s**2) - alpha_s**2 - np.cumsum(np.log(np.maximum(n, 1)))
-    return float(np.sum(np.exp(log_poisson) * np.sin(np.pi * np.sqrt(n + 1) / (2 * alpha_s)) ** 2))
+    k = np.arange(int(alpha_s**2 + 20 * alpha_s + 50))
+    log_c = k * np.log(alpha_s) - alpha_s**2 / 2 - np.cumsum(np.log(np.maximum(k, 1))) / 2
+    c = np.exp(log_c)
+    c_prev = np.concatenate(([0.0], c[:-1]))
+    eta = theta / alpha_s
+    kept = np.cos(theta) * c * np.cos(eta * np.sqrt(k + 1))  # from |1, k, 0>
+    moved = np.sin(theta) * c_prev * np.sin(eta * np.sqrt(k))  # from |0, k, 1>
+    return float(np.sum((kept + moved) ** 2))
 
 
 def test_depletion_matches_closed_form():
@@ -294,6 +301,19 @@ def test_depletion_matches_closed_form():
     res = run_depletion_convergence(alphas, np.pi / 2, pump)
     for a_s, fid in zip(alphas, res.column("fidelity_vs_converter")):
         assert abs(fid - depletion_fidelity_closed_form(a_s)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+    alpha_s=st.floats(2.0, 8.0),
+)
+def test_depletion_matches_closed_form_at_any_theta(theta, alpha_s):
+    # away from theta = pi/2 the target keeps a |1, 0> part, so the fidelity
+    # carries coherences between neighbouring signal numbers
+    pump = make_fock(ModeRegistry([("pump", 2.0, 1)]), [1])
+    [fid] = run_depletion_convergence([alpha_s], theta, pump).column("fidelity_vs_converter")
+    assert abs(fid - depletion_fidelity_closed_form(alpha_s, theta)) < 1e-9
 
 
 def test_depletion_strong_signal_limit():
