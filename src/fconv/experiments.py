@@ -4,6 +4,11 @@ coherent frequency down-conversion as a desk-scale numerical scan.
 All runners are pure functions of their parameters and return a ScanResult;
 nothing here touches global state, so scan points can be evaluated in
 parallel by callers if desired.
+
+Auto cutoffs follow from conservation: converters, attenuators and the trilinear
+coupler never put more photons on a mode than the input holds in total, so each
+mode gets the coherent tail of sqrt(sum |alpha|^2) plus any Fock photons.  Only
+amplifiers create photons; they keep their own squeezed-vacuum tail.
 """
 
 from __future__ import annotations
@@ -190,8 +195,8 @@ def run_fringe(
     """
     prepare, compile_, photons, _ = _backend(backend)
     phis = [float(p) for p in phi_p_points]
-    amax = max(abs(alpha_pump), abs(alpha_ref)) + 1e-12
-    c = cutoff if cutoff is not None else coherent_required_cutoff(amax * np.sqrt(2))
+    total = np.hypot(abs(alpha_pump), abs(alpha_ref))  # one photon budget for all three modes
+    c = cutoff if cutoff is not None else coherent_required_cutoff(total)
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
     conv = Converter("pump", "idler", theta, phi_s)
     combiner = Converter("idler", "ref", np.pi / 4)
@@ -254,12 +259,11 @@ def run_noise_comparison(
     if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
-    # one rule for both backends: the retained two-mode-squeezed tail feeds
-    # straight into the Fock variance estimate, so size the cutoff from a tail
-    # tolerance well below the 1e-8 accuracy the columns are expected to carry
+    # one rule for both backends: the converter keeps its vacuum input's zero photons;
+    # the amplifier's pair tail feeds the Fock variance, so it is cut well below 1e-8
     c_conv = c_amp = cutoff
     if cutoff is None:
-        c_conv, c_amp = 5, max(amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10), 5)
+        c_conv, c_amp = 1, amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10)
     reg_conv = ModeRegistry([("pump", 2.0, c_conv), ("idler", 1.0, c_conv)])
     reg_amp = ModeRegistry([("signal", 1.2, c_amp), ("idler", 0.8, c_amp)])
     vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
@@ -293,9 +297,6 @@ def run_noise_comparison(
 # pump depletion: trilinear dynamics converging to the beam-splitter picture
 
 
-DEPLETION_SIGNAL_CUTOFF_FLOOR = 40
-
-
 def run_depletion_convergence(
     alpha_s_points,
     theta: float,
@@ -307,9 +308,8 @@ def run_depletion_convergence(
     converter.  Fidelity of the reduced pump+idler output against the
     converter prediction approaches one as the signal becomes classical.
 
-    The signal cutoff is auto-sized (per-point) so the truncated coherent
-    state obeys the package-wide tail policy; a floor of 40 keeps small
-    amplitudes comparable.
+    The auto signal cutoff is the coherent tail of alpha_s plus the pump
+    cutoff: the coupler conserves n_p + n_s, so it clips no chain it reaches.
     """
     if pump_input.registry.num_modes != 1:
         raise ValueError("pump_input must live on a single mode")
@@ -330,7 +330,7 @@ def run_depletion_convergence(
     for a_s in alphas:
         c_s = signal_cutoff
         if c_s is None:
-            c_s = max(DEPLETION_SIGNAL_CUTOFF_FLOOR, coherent_required_cutoff(a_s))
+            c_s = coherent_required_cutoff(a_s) + c_p
         signal_idler = ModeRegistry([("signal", 1.0, c_s), ("idler", 1.0, c_p)])
         state = product_state(pump, make_coherent(signal_idler, {"signal": a_s}))
         coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)

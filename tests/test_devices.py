@@ -298,6 +298,17 @@ def test_amplifier_cutoff_guard():
         device_unitary(reg, Amplifier("s", "i", 1.5))
 
 
+def test_amplifier_guard_raises_only_for_a_larger_cutoff():
+    # at tanh(s)^(2(c+1)) = 1e-8 rounding may go either way, but a guard that
+    # raises must ask for more than the cutoff in hand
+    for c in range(1, 81):
+        reg = ModeRegistry([("a", 1.0, c), ("b", 2.0, c)])
+        try:
+            device_unitary(reg, Amplifier("a", "b", np.arctanh(1e-8 ** (1 / (2 * (c + 1))))))
+        except CutoffTooSmall as exc:
+            assert exc.required_cutoff > c, f"cutoff {c}: {exc}"
+
+
 def test_amplifier_required_cutoff_where_tanh_squared_rounds_to_one():
     # tanh(20)^2 rounds to 1 in floating point, so log tanh^2 would be 0
     assert amplifier_required_cutoff(20.0) > 10**17
@@ -744,8 +755,8 @@ def _draw_device(data):
     modes = "abc"[:num_modes]
     reg = ModeRegistry([(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))])
     strength = data.draw(st.floats(0.0, 1.5), label="strength")
-    if kind == "amplifier":  # stay inside the squeezed-vacuum tail guard
-        strength *= np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
+    if kind == "amplifier":  # strictly inside the squeezed-vacuum tail guard, not on its edge
+        strength *= 0.999 * np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
     dev = build(modes, strength, data.draw(st.floats(-np.pi, np.pi), label="phase"))
     return reg, dev, strength, generator
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fconv.devices
@@ -220,15 +220,18 @@ def test_noise_metadata_records_both_registries():
     from fconv.devices import amplifier_required_cutoff
 
     res = run_noise_comparison([0.0, 0.5], backend="fock")
-    c = max(amplifier_required_cutoff(0.5, tail_tol=1e-10), 5)
+    c = amplifier_required_cutoff(0.5, tail_tol=1e-10)
     assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
-    assert res.metadata["converter_cutoffs"] == "pump=5;idler=5"
+    assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"  # vacuum stays vacuum
     res = run_noise_comparison([0.0, 0.2], backend="fock", cutoff=7)
     assert res.metadata["cutoffs"] == "signal=7;idler=7"
     assert res.metadata["converter_cutoffs"] == "pump=7;idler=7"
     res = run_noise_comparison([0.0, 0.5], backend="gaussian")  # the Fock rule, recorded
     assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
-    assert res.metadata["converter_cutoffs"] == "pump=5;idler=5"
+    assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"
+    res = run_noise_comparison([0.0], backend="fock")  # no squeezing: no floor either
+    assert res.metadata["cutoffs"] == "signal=1;idler=1"
+    assert res.rows[0][1] == (0.25, 0.25, 0.0)
 
 
 def test_gaussian_noise_past_tanh_rounding_records_the_fock_rule():
@@ -260,7 +263,7 @@ def test_depletion_single_photon_nondecreasing():
 
 
 def test_depletion_six_pump_photons_allocates_no_dense_unitary():
-    # pump |6> and alpha_s 10 (auto signal cutoff 170): dim 7 * 171 * 7 = 8379,
+    # pump |6> and alpha_s 10 (auto signal cutoff 170 + 6): dim 7 * 177 * 7 = 8673,
     # where a dense complex U would take 1.1 GB; no trilinear chain holds more
     # than 7 states
     pump = make_fock(ModeRegistry([("pump", 2.0, 6)]), [6])
@@ -328,6 +331,48 @@ def test_depletion_rejects_bad_amplitudes():
     reg = ModeRegistry([("pump", 2.0, 1)])
     with pytest.raises(ValueError):
         run_depletion_convergence([0.0], np.pi / 2, make_vacuum(reg))
+
+
+# ---------------------------------------------------------------------------
+# auto cutoffs: conservation sizes every mode for the input's photon budget,
+# so a larger box changes nothing beyond the coherent tail tolerance
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha_pump=st.floats(0.0, 1.5),
+    alpha_ref=st.floats(0.0, 1.5),
+    theta=st.floats(0.0, 2 * np.pi),
+    phi_s=st.floats(-np.pi, np.pi),
+)
+def test_fringe_auto_cutoff_is_converged(alpha_pump, alpha_ref, theta, phi_s):
+    phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
+    auto = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s)
+    c = int(auto.metadata["cutoffs"].split(";")[0].split("=")[1])
+    wider = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s, cutoff=c + 3)
+    assert wider.metadata["cutoffs"] == f"pump={c + 3};idler={c + 3};ref={c + 3}"
+    diff = auto.column("combined_mean_photons") - wider.column("combined_mean_photons")
+    assert np.max(np.abs(diff)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    alpha_s=st.sampled_from([2.0, 4.0]),
+    theta=st.floats(0.0, np.pi, exclude_min=True),
+)
+@example(n=3, alpha_s=4.0, theta=2.93)  # a signal cutoff without the + n misses by 1.8e-9
+def test_depletion_auto_cutoff_is_converged(n, alpha_s, theta):
+    # the coupler can move all n pump photons onto the signal
+    from fconv.fock import coherent_required_cutoff
+
+    def fidelity(pump_cutoff, signal_cutoff=None):
+        pump = make_fock(ModeRegistry([("pump", 2.0, pump_cutoff)]), [n])
+        res = run_depletion_convergence([alpha_s], theta, pump, signal_cutoff=signal_cutoff)
+        return res.column("fidelity_vs_converter")[0]
+
+    wider = fidelity(n + 3, coherent_required_cutoff(alpha_s) + n + 3)
+    assert abs(fidelity(n) - wider) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

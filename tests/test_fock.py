@@ -146,10 +146,13 @@ def test_coherent_cutoff_too_small():
 
 
 # amplitudes in [0, 12], plus the ones the CLI runners size cutoffs for at
-# their defaults: linearity (1), fringe (sqrt(2) times the largest amplitude,
-# with its float round-up) and depletion (2..5)
+# their defaults: linearity (1), fringe (hypot(1, 0.25)) and depletion (2..5),
+# and sqrt(2) just above its float value
 ORACLE_ALPHAS = np.concatenate(
-    [np.linspace(0.0, 12.0, 1001), [1.0, np.sqrt(2) * (1 + 1e-12), 2.0, 3.0, 4.0, 5.0]]
+    [
+        np.linspace(0.0, 12.0, 1001),
+        [1.0, np.hypot(1.0, 0.25), np.sqrt(2) * (1 + 1e-12), 2.0, 3.0, 4.0, 5.0],
+    ]
 )
 
 
