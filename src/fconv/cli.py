@@ -1,10 +1,12 @@
 """Command-line front end: one subcommand per experiment, CSV output.
 
 Every run is deterministic: identical flags produce byte-identical files.
-`EXPERIMENTS` declares each parameter once; the flags, their defaults and
-help, and the types of config-file values all follow from it.  An optional
-JSON config file supplies defaults: the experiment's own section, or else the
-top-level keys that name no experiment.  Explicit flags win.
+`EXPERIMENTS` holds one row per experiment: its parameters, each declared
+once (the flags, their defaults and help, and the types of config-file values
+all follow from it), and the runner call.  Every Fock cutoff is sized by the
+runner from the photon number its circuit conserves; no flag overrides it.
+An optional JSON config file supplies defaults: the experiment's own section,
+or else the top-level keys that name no experiment.  Explicit flags win.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ BACKEND_AGREEMENT_TOL = 1e-7
 class RunConfig:
     experiment: str
     backend: str
-    cutoff: int | None
     params: dict
     output_path: str
 
@@ -109,8 +110,11 @@ _CHANNELS = (_channels, "a list of [SIGNAL_FREQ, THETA] or [SIGNAL_FREQ, THETA, 
              {"type": _parse_channel, "action": "append"})
 _BACKEND = (_text, "one of 'fock', 'gaussian', 'both'", {"choices": ("fock", "gaussian", "both")})
 
-# experiment -> (subcommand help, {parameter: (default, flag kind, help)}).  A
-# parameter is the flag --<name with '-' for '_'> and the config key <name>.
+# experiment -> (subcommand help, {parameter: (default, flag kind, help)},
+# run(params, backend) -> ScanResult).  A parameter is the flag --<name with
+# '-' for '_'> and the config key <name>.  Each run names its runner at call
+# time, so a wrapper bound to this module's name (such as the benchmark
+# tracer) sees the call.
 EXPERIMENTS = {
     "linearity": ("idler output vs pump attenuation", {
         "theta_eff": (0.01, _NUMBER, "conversion efficiency sin^2(theta)"),
@@ -118,36 +122,45 @@ EXPERIMENTS = {
         "t_min": (0.01, _NUMBER, "smallest transmission"),
         "alpha_pump": (1.0, _NUMBER, "pump coherent amplitude"),
         "noise_floor": (0.0, _NUMBER, "constant detector floor"),
-    }),
+    }, lambda p, backend: run_linearity(
+        np.geomspace(1.0, p["t_min"], p["points"]), float(np.arcsin(np.sqrt(p["theta_eff"]))),
+        p["alpha_pump"], p["noise_floor"], backend=backend,
+    )),
     "fringe": ("interference fringe under pump-phase scan", {
         "points": (64, _INT, "number of phase points"),
         "alpha_pump": (1.0, _NUMBER, "pump amplitude"),
         "alpha_ref": (0.25, _NUMBER, "reference amplitude"),
         "theta": (float(np.pi / 6), _NUMBER, "converter angle"),
         "phi_s": (0.0, _NUMBER, "converter phase"),
-    }),
+    }, lambda p, backend: run_fringe(
+        np.linspace(0.0, 2 * np.pi, p["points"], endpoint=False),
+        p["alpha_pump"], p["alpha_ref"], p["theta"], p["phi_s"], backend=backend,
+    )),
     "noise": ("converter vs amplifier idler noise", {
         "s_max": (1.0, _NUMBER, "largest interaction strength"),
         "points": (11, _INT, "number of strengths"),
-    }),
+    }, lambda p, backend: run_noise_comparison(
+        np.linspace(0.0, p["s_max"], p["points"]), backend=backend,
+    )),
     "depletion": ("trilinear convergence to the converter", {
         "alpha_s": ([2.0, 3.0, 4.0, 5.0], _NUMBERS, "signal amplitudes"),
         "theta": (float(np.pi / 2), _NUMBER, "target converter angle"),
         "pump_photon": (1, _INT, "pump Fock input |n>"),
-    }),
+    }, lambda p, _: run_depletion_convergence(p["alpha_s"], p["theta"], make_fock(
+        ModeRegistry([("pump", 2.0, max(p["pump_photon"], 1))]), [p["pump_photon"]],
+    ))),
     "wdm": ("single-photon wavelength division multiplexing", {
         "pump_frequency": (2.0, _NUMBER, "pump frequency"),
         "channel": ([(1.1, float(np.pi / 4), 0.0), (0.9, float(np.pi / 2), 0.0)], _CHANNELS,
                     "SIGNAL_FREQ:THETA[:PHI], repeatable"),
-    }),
+    }, lambda p, _: run_wdm(WdmSpec(p["pump_frequency"], tuple(p["channel"])))[0]),
 }
 
-# run key -> (default, flag kind, help), taken by every experiment; a None
-# default is worked out per run, as its help says
+# run key -> (default, flag kind, help), taken by every experiment; the None
+# output default is worked out per run, as its help says
 _RUN_KEYS = {
     "output": (None, (_text, "a string", {}), "output CSV path (default <experiment>.csv)"),
     "backend": ("fock", _BACKEND, "state representation ('both' cross-validates)"),
-    "cutoff": (None, _INT, "Fock cutoff override (default: auto-sized; wdm has none)"),
 }
 
 
@@ -168,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", help="JSON file with per-experiment default parameters"
     )
     sub = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT")
-    for name, (about, params) in EXPERIMENTS.items():
+    for name, (about, params, _) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=about)
         for key, (default, (_, _, flag_kw), text) in {**_RUN_KEYS, **params}.items():
             flags = ("-o", "--output") if key == "output" else ("--" + key.replace("_", "-"),)
@@ -224,17 +237,13 @@ def parse_args(argv) -> RunConfig:
         if flag_val is not None:
             params[key] = flag_val
 
-    backend, cutoff = params.pop("backend"), params.pop("cutoff")
+    backend = params.pop("backend")
     output = params.pop("output") or f"{ns.experiment}.csv"
     if ns.experiment in FOCK_ONLY and backend != "fock":
         parser.error(
             f"--backend {backend} is not available for {ns.experiment}: "
             "the scenario is non-Gaussian (NonGaussianDevice)"
         )
-    if ns.experiment == "wdm" and ns.cutoff is not None:  # a shared config cutoff is fine
-        raise ValueError("--cutoff does not apply to wdm: its one photon needs no Fock cutoff")
-    if cutoff is not None and cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     for key, val in params.items():  # NaN passes `x < 0` checks; inf overflows int()
         if not np.isfinite(np.asarray(val, dtype=float)).all():
             raise ValueError(f"--{key.replace('_', '-')} must be finite, got {val!r}")
@@ -245,48 +254,7 @@ def parse_args(argv) -> RunConfig:
         raise ValueError(f"--t-min must lie in (0, 1), or be 1 with --points 1, got {t_min}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
         raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
-    return RunConfig(ns.experiment, backend, cutoff, params, output)
-
-
-def _run_one(cfg: RunConfig, backend: str) -> ScanResult:
-    p = cfg.params
-    if cfg.experiment == "linearity":
-        theta = float(np.arcsin(np.sqrt(p["theta_eff"])))
-        transmissions = np.geomspace(1.0, p["t_min"], p["points"])
-        return run_linearity(
-            transmissions,
-            theta,
-            p["alpha_pump"],
-            p["noise_floor"],
-            backend=backend,
-            cutoff=cfg.cutoff,
-        )
-    if cfg.experiment == "fringe":
-        phis = np.linspace(0.0, 2 * np.pi, p["points"], endpoint=False)
-        return run_fringe(
-            phis,
-            p["alpha_pump"],
-            p["alpha_ref"],
-            p["theta"],
-            p["phi_s"],
-            backend=backend,
-            cutoff=cfg.cutoff,
-        )
-    if cfg.experiment == "noise":
-        strengths = np.linspace(0.0, p["s_max"], p["points"])
-        return run_noise_comparison(strengths, backend=backend, cutoff=cfg.cutoff)
-    if cfg.experiment == "depletion":
-        n = p["pump_photon"]
-        reg = ModeRegistry([("pump", 2.0, max(n, 1))])
-        pump = make_fock(reg, [n])
-        return run_depletion_convergence(
-            p["alpha_s"], p["theta"], pump, signal_cutoff=cfg.cutoff
-        )
-    if cfg.experiment == "wdm":
-        spec = WdmSpec(p["pump_frequency"], tuple(p["channel"]))
-        result, _ = run_wdm(spec)
-        return result
-    raise ValueError(cfg.experiment)
+    return RunConfig(ns.experiment, backend, params, output)
 
 
 def _suffixed(path: str, tag: str) -> str:
@@ -296,9 +264,10 @@ def _suffixed(path: str, tag: str) -> str:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        run = EXPERIMENTS[cfg.experiment][2]
         if cfg.backend == "both":
-            res_f = _run_one(cfg, "fock")
-            res_g = _run_one(cfg, "gaussian")
+            res_f = run(cfg.params, "fock")
+            res_g = run(cfg.params, "gaussian")
             write_csv(res_f, _suffixed(cfg.output_path, "fock"))
             write_csv(res_g, _suffixed(cfg.output_path, "gaussian"))
             yf = np.array([vals for _, vals in res_f.rows])
@@ -311,8 +280,7 @@ def main(argv=None) -> int:
                 )
                 return 2
             return 0
-        result = _run_one(cfg, cfg.backend)
-        write_csv(result, cfg.output_path)
+        write_csv(run(cfg.params, cfg.backend), cfg.output_path)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)

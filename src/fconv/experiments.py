@@ -5,7 +5,7 @@ All runners are pure functions of their parameters and return a ScanResult;
 nothing here touches global state, so scan points can be evaluated in
 parallel by callers if desired.
 
-Auto cutoffs follow from conservation: converters, attenuators and the trilinear
+Cutoffs follow from conservation: converters, attenuators and the trilinear
 coupler never put more photons on a mode than the input holds in total, so each
 mode gets the coherent tail of sqrt(sum |alpha|^2) plus any Fock photons.  Only
 amplifiers create photons; they keep their own squeezed-vacuum tail.
@@ -137,7 +137,6 @@ def run_linearity(
     alpha_pump: complex,
     noise_floor: float = 0.0,
     backend: str = "fock",
-    cutoff: int | None = None,
 ) -> ScanResult:
     """Attenuated coherent pump through a weak converter; idler photon number
     per attenuator transmission.  With zero noise floor the curve is exactly
@@ -152,7 +151,7 @@ def run_linearity(
         raise ValueError("noise_floor must be >= 0")
 
     prepare, compile_, photons, _ = _backend(backend)
-    c = cutoff if cutoff is not None else coherent_required_cutoff(alpha_pump)
+    c = coherent_required_cutoff(alpha_pump)
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c)])
     conv = Converter("pump", "idler", theta)
     pump = prepare(registry, {"pump": alpha_pump})
@@ -185,7 +184,6 @@ def run_fringe(
     theta: float,
     phi_s: float = 0.0,
     backend: str = "fock",
-    cutoff: int | None = None,
 ) -> ScanResult:
     """Pump-phase scan: convert a coherent pump, then beat the idler against a
     coherent reference on a balanced combiner and read one output port.
@@ -196,7 +194,7 @@ def run_fringe(
     prepare, compile_, photons, _ = _backend(backend)
     phis = [float(p) for p in phi_p_points]
     total = np.hypot(abs(alpha_pump), abs(alpha_ref))  # one photon budget for all three modes
-    c = cutoff if cutoff is not None else coherent_required_cutoff(total)
+    c = coherent_required_cutoff(total)
     registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
     conv = Converter("pump", "idler", theta, phi_s)
     combiner = Converter("idler", "ref", np.pi / 4)
@@ -245,9 +243,7 @@ def fringe_visibility(result: ScanResult) -> float:
 # converter vs amplifier noise
 
 
-def run_noise_comparison(
-    strength_points, backend: str = "gaussian", cutoff: int | None = None
-) -> ScanResult:
+def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResult:
     """Vacuum-input comparison at matched interaction strength s.
 
     Converter(theta=s): idler quadrature variance stays at the vacuum 1/4.
@@ -261,9 +257,7 @@ def run_noise_comparison(
 
     # one rule for both backends: the converter keeps its vacuum input's zero photons;
     # the amplifier's pair tail feeds the Fock variance, so it is cut well below 1e-8
-    c_conv = c_amp = cutoff
-    if cutoff is None:
-        c_conv, c_amp = 1, amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10)
+    c_conv, c_amp = 1, amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10)
     reg_conv = ModeRegistry([("pump", 2.0, c_conv), ("idler", 1.0, c_conv)])
     reg_amp = ModeRegistry([("signal", 1.2, c_amp), ("idler", 0.8, c_amp)])
     vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
@@ -297,19 +291,16 @@ def run_noise_comparison(
 # pump depletion: trilinear dynamics converging to the beam-splitter picture
 
 
-def run_depletion_convergence(
-    alpha_s_points,
-    theta: float,
-    pump_input: PureState,
-    signal_cutoff: int | None = None,
-) -> ScanResult:
+def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureState) -> ScanResult:
     """Exact trilinear evolution with a coherent signal of growing amplitude,
     holding eta_tau * |alpha_s| = theta, compared against the linearized
     converter.  Fidelity of the reduced pump+idler output against the
     converter prediction approaches one as the signal becomes classical.
 
-    The auto signal cutoff is the coherent tail of alpha_s plus the pump
-    cutoff: the coupler conserves n_p + n_s, so it clips no chain it reaches.
+    The signal cutoff is the coherent tail of alpha_s plus the pump cutoff:
+    the coupler conserves n_p + n_s, so it clips no chain it reaches.  The
+    metadata's `cutoffs` name the pump and idler; `signal_cutoffs` gives the
+    signal cutoff of each amplitude.
     """
     if pump_input.registry.num_modes != 1:
         raise ValueError("pump_input must live on a single mode")
@@ -326,11 +317,8 @@ def run_depletion_convergence(
         Converter("pump", "idler", theta),
     )
 
-    rows = []
-    for a_s in alphas:
-        c_s = signal_cutoff
-        if c_s is None:
-            c_s = coherent_required_cutoff(a_s) + c_p
+    rows, signal_cutoffs = [], [coherent_required_cutoff(a) + c_p for a in alphas]
+    for a_s, c_s in zip(alphas, signal_cutoffs):
         signal_idler = ModeRegistry([("signal", 1.0, c_s), ("idler", 1.0, c_p)])
         state = product_state(pump, make_coherent(signal_idler, {"signal": a_s}))
         coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)
@@ -342,7 +330,10 @@ def run_depletion_convergence(
         abscissa_label="alpha_s",
         column_labels=("fidelity_vs_converter",),
         rows=tuple(rows),
-        metadata=_meta("fock", reg2, theta=theta, pump_cutoff=c_p),
+        metadata=_meta(
+            "fock", reg2, theta=theta, pump_cutoff=c_p,
+            signal_cutoffs=";".join(map(str, signal_cutoffs)),
+        ),
     )
 
 

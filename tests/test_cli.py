@@ -10,7 +10,7 @@ import pytest
 
 import fconv.cli
 from fconv import ScanResult
-from fconv.cli import EXPERIMENTS, main, parse_args, write_csv
+from fconv.cli import EXPERIMENTS, FOCK_ONLY, main, parse_args, write_csv
 
 
 def _result():
@@ -58,13 +58,13 @@ def test_write_csv_unwritable_path(tmp_path):
 
 def test_parse_linearity_flags():
     cfg = parse_args(
-        ["linearity", "--theta-eff", "0.04", "--points", "5", "-o", "lin.csv", "--cutoff", "12"]
+        ["linearity", "--theta-eff", "0.04", "--points", "5", "-o", "lin.csv", "--alpha-pump", "2"]
     )
     assert cfg.experiment == "linearity"
     assert cfg.params["theta_eff"] == 0.04
     assert cfg.params["points"] == 5
     assert cfg.params["t_min"] == 0.01  # untouched default
-    assert cfg.cutoff == 12
+    assert cfg.params["alpha_pump"] == 2.0
     assert cfg.output_path == "lin.csv"
     assert cfg.backend == "fock"
 
@@ -108,16 +108,17 @@ def test_parse_config_unknown_key_errors(tmp_path):
 
 
 @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-def test_top_level_cutoff_serves_every_experiment(experiment, tmp_path):
+def test_top_level_keys_serve_every_experiment(experiment, tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"cutoff": 7}))
-    assert parse_args(["--config", str(cfgfile), experiment]).cutoff == 7
-    argv = ["--config", str(cfgfile), experiment, "--cutoff", "9"]
-    if experiment == "wdm":  # the flag cannot apply there, so it is refused, not taken
-        with pytest.raises(ValueError, match="--cutoff does not apply to wdm"):
-            parse_args(argv)
-    else:
-        assert parse_args(argv).cutoff == 9  # explicit flag beats the file
+    cfgfile.write_text(json.dumps({"output": "shared.csv", "backend": "fock"}))
+    cfg = parse_args(["--config", str(cfgfile), experiment])
+    assert (cfg.output_path, cfg.backend) == ("shared.csv", "fock")
+    argv = ["--config", str(cfgfile), experiment, "-o", "flag.csv"]
+    if experiment not in FOCK_ONLY:
+        argv += ["--backend", "gaussian"]
+    cfg = parse_args(argv)  # explicit flags beat the file
+    assert cfg.output_path == "flag.csv"
+    assert cfg.backend == ("fock" if experiment in FOCK_ONLY else "gaussian")
 
 
 def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
@@ -125,10 +126,11 @@ def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
     # keys that name no experiment, so another experiment's section is no
     # unknown key
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"fringe": {"points": 32}, "cutoff": 9}))
-    assert parse_args(["--config", str(cfgfile), "fringe"]).params["points"] == 32
+    cfgfile.write_text(json.dumps({"fringe": {"points": 32}, "output": "shared.csv"}))
+    cfg = parse_args(["--config", str(cfgfile), "fringe"])
+    assert cfg.params["points"] == 32 and cfg.output_path == "fringe.csv"
     cfg = parse_args(["--config", str(cfgfile), "noise"])
-    assert cfg.params["points"] == 11 and cfg.cutoff == 9
+    assert cfg.params["points"] == 11 and cfg.output_path == "shared.csv"
     for experiment in ("noise", "fringe"):
         out = tmp_path / f"{experiment}.csv"
         argv = ["--config", str(cfgfile), experiment, "--backend", "gaussian", "-o", str(out)]
@@ -137,21 +139,18 @@ def test_section_for_one_experiment_leaves_the_others_alone(tmp_path):
     assert len(rows) == 1 + 32  # header, then one row per phase point
 
 
-def test_wdm_refuses_the_cutoff_flag(tmp_path, capsys):
-    # wdm propagates one photon's amplitudes and has no Fock cutoff, so the
-    # flag would otherwise be silently ignored
-    assert main(["wdm", "--cutoff", "3", "-o", str(tmp_path / "w.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fconv: --cutoff does not apply to wdm") and err.count("\n") == 1
-    assert not (tmp_path / "w.csv").exists()
-
-
-def test_wdm_takes_a_shared_config_cutoff(tmp_path):
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_cutoff_option_is_gone(experiment, tmp_path, capsys):
+    # every run sizes its own cutoffs from the photon number its circuit
+    # conserves, so neither a flag nor a config key can set one
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--cutoff", "9", "-o", str(out)]) == 2
+    assert "unrecognized arguments: --cutoff 9" in capsys.readouterr().err
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"cutoff": 12, "fringe": {"points": 32}}))
-    assert main(["--config", str(cfgfile), "wdm", "-o", str(tmp_path / "cfg.csv")]) == 0
-    assert main(["wdm", "-o", str(tmp_path / "plain.csv")]) == 0
-    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    cfgfile.write_text(json.dumps({"cutoff": 9}))
+    assert main(["--config", str(cfgfile), experiment, "-o", str(out)]) == 2
+    assert f"config key 'cutoff' unknown for experiment {experiment!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_channel_flag_names_the_format(capsys):
@@ -159,12 +158,6 @@ def test_bad_channel_flag_names_the_format(capsys):
     err = capsys.readouterr().err
     assert "argument --channel: channel 'a:b' must be SIGNAL_FREQ:THETA[:PHI]" in err
     assert "_parse_channel" not in err
-
-
-def test_negative_cutoff_rejected():
-    # a ValueError, which main reports as one `fconv:` line with exit 1
-    with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
-        parse_args(["fringe", "--cutoff", "0"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +245,6 @@ def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_pa
         ("{not json", "wdm"),
         ("[1, 2]", "wdm"),
         ('{"wdm": [1]}', "wdm"),
-        ('{"cutoff": "abc"}', "fringe"),
         ('{"points": "x"}', "fringe"),
         ('{"points": 2.5}', "fringe"),
         ('{"alpha_pump": true}', "fringe"),
@@ -267,15 +259,12 @@ def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_pa
         ('{"points": 0}', "fringe"),
         ("{}", "fringe --points 0"),
         ("{}", "noise --backend gaussian --points 0"),
-        ("{}", "fringe --cutoff 0"),
-        ('{"cutoff": -3}', "fringe"),
     ],
     ids=[
         "missing-file",
         "malformed-json",
         "top-level-list",
         "list-section",
-        "string-cutoff",
         "string-points",
         "fractional-points",
         "bool-scalar",
@@ -290,8 +279,6 @@ def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_pa
         "config-zero-points",
         "flag-zero-points",
         "flag-zero-points-noise",
-        "flag-zero-cutoff",
-        "config-negative-cutoff",
     ],
 )
 def test_main_bad_config_is_one_line_and_exit_1(config_text, args, tmp_path, capsys):
@@ -368,7 +355,8 @@ def test_config_values_take_their_flag_types(tmp_path):
     cfgfile.write_text(
         json.dumps(
             {
-                "depletion": {"alpha_s": [2, "3.5"], "pump_photon": 2.0, "cutoff": "9"},
+                "depletion": {"alpha_s": [2, "3.5"], "pump_photon": 2.0},
+                "noise": {"points": "7"},
                 "wdm": {"channel": [[1.2, 0.5], [0.8, 1, 0.25]], "pump_frequency": 2},
             }
         )
@@ -376,7 +364,8 @@ def test_config_values_take_their_flag_types(tmp_path):
     cfg = parse_args(["--config", str(cfgfile), "depletion"])
     assert cfg.params["alpha_s"] == [2.0, 3.5]
     assert cfg.params["pump_photon"] == 2 and isinstance(cfg.params["pump_photon"], int)
-    assert cfg.cutoff == 9
+    cfg = parse_args(["--config", str(cfgfile), "noise"])
+    assert cfg.params["points"] == 7 and isinstance(cfg.params["points"], int)
     cfg = parse_args(["--config", str(cfgfile), "wdm"])
     assert cfg.params["channel"] == [(1.2, 0.5, 0.0), (0.8, 1.0, 0.25)]
     assert cfg.params["pump_frequency"] == 2.0 and isinstance(cfg.params["pump_frequency"], float)

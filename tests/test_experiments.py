@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fconv.devices
+import fconv.experiments
 import fconv.gaussian
 from fconv import (
     EnergyConservationViolation,
@@ -223,9 +225,6 @@ def test_noise_metadata_records_both_registries():
     c = amplifier_required_cutoff(0.5, tail_tol=1e-10)
     assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
     assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"  # vacuum stays vacuum
-    res = run_noise_comparison([0.0, 0.2], backend="fock", cutoff=7)
-    assert res.metadata["cutoffs"] == "signal=7;idler=7"
-    assert res.metadata["converter_cutoffs"] == "pump=7;idler=7"
     res = run_noise_comparison([0.0, 0.5], backend="gaussian")  # the Fock rule, recorded
     assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
     assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"
@@ -349,7 +348,9 @@ def test_fringe_auto_cutoff_is_converged(alpha_pump, alpha_ref, theta, phi_s):
     phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
     auto = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s)
     c = int(auto.metadata["cutoffs"].split(";")[0].split("=")[1])
-    wider = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s, cutoff=c + 3)
+    rule = fconv.experiments.coherent_required_cutoff
+    with mock.patch.object(fconv.experiments, "coherent_required_cutoff", lambda a: rule(a) + 3):
+        wider = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s)
     assert wider.metadata["cutoffs"] == f"pump={c + 3};idler={c + 3};ref={c + 3}"
     diff = auto.column("combined_mean_photons") - wider.column("combined_mean_photons")
     assert np.max(np.abs(diff)) <= 1e-9
@@ -364,15 +365,31 @@ def test_fringe_auto_cutoff_is_converged(alpha_pump, alpha_ref, theta, phi_s):
 @example(n=3, alpha_s=4.0, theta=2.93)  # a signal cutoff without the + n misses by 1.8e-9
 def test_depletion_auto_cutoff_is_converged(n, alpha_s, theta):
     # the coupler can move all n pump photons onto the signal
+    def fidelity(pump_cutoff):
+        pump = make_fock(ModeRegistry([("pump", 2.0, pump_cutoff)]), [n])
+        return run_depletion_convergence([alpha_s], theta, pump).column("fidelity_vs_converter")[0]
+
+    auto = fidelity(n)
+    rule = fconv.experiments.coherent_required_cutoff
+    with mock.patch.object(fconv.experiments, "coherent_required_cutoff", lambda a: rule(a) + 3):
+        wider = fidelity(n + 3)  # 3 more levels on the pump and idler, 6 on the signal
+    assert abs(auto - wider) <= 1e-9
+
+
+def test_depletion_records_each_signal_cutoff():
+    # the `cutoffs` line names only the pump and idler; the signal, the
+    # largest mode, gets the coherent tail of each alpha_s plus the pump cutoff
     from fconv.fock import coherent_required_cutoff
 
-    def fidelity(pump_cutoff, signal_cutoff=None):
-        pump = make_fock(ModeRegistry([("pump", 2.0, pump_cutoff)]), [n])
-        res = run_depletion_convergence([alpha_s], theta, pump, signal_cutoff=signal_cutoff)
-        return res.column("fidelity_vs_converter")[0]
-
-    wider = fidelity(n + 3, coherent_required_cutoff(alpha_s) + n + 3)
-    assert abs(fidelity(n) - wider) <= 1e-9
+    alphas, metas = [2.0, 3.0, 4.0, 5.0], {}
+    for n in (1, 3):
+        pump = make_fock(ModeRegistry([("pump", 2.0, n)]), [n])
+        metas[n] = meta = run_depletion_convergence(alphas, np.pi / 2, pump).metadata
+        assert meta["signal_cutoffs"] == ";".join(
+            str(coherent_required_cutoff(a) + n) for a in alphas
+        )
+        assert meta["cutoffs"] == f"pump={n};idler={n}"
+    assert metas[1]["signal_cutoffs"] == "23;35;48;64"  # `fconv depletion` at its defaults
 
 
 # ---------------------------------------------------------------------------
