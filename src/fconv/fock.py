@@ -36,20 +36,13 @@ from .registry import ModeRegistry
 COHERENT_TAIL_TOL = 1e-10
 
 
-def destroy(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator on a (dim)-level truncated space."""
-    a = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
 def annihilation_matrix(registry: ModeRegistry, mode: str) -> np.ndarray:
-    """Full-space annihilation operator for one mode (Kronecker embedding)."""
+    """Full-space annihilation operator for one mode (Kronecker embedding):
+    a |n> = sqrt(n) |n - 1> on its axis, the identity on every other."""
     m = registry.index(mode)
     op = np.array([[1.0 + 0j]])
     for i, d in enumerate(registry.dims):
-        factor = destroy(d) if i == m else np.eye(d, dtype=complex)
+        factor = np.diag(np.sqrt(np.arange(1, d)), 1) if i == m else np.eye(d)
         op = np.kron(op, factor)
     return op
 
@@ -104,8 +97,17 @@ State = PureState | FockDensityOp
 # constructors
 
 
+def _zeros(registry: ModeRegistry) -> np.ndarray:
+    """Zero amplitudes of shape ``registry.dims``, or one MemoryError naming the box."""
+    try:
+        return np.zeros(registry.dims, dtype=complex)
+    except (ValueError, OverflowError, MemoryError):
+        size = registry.dim * 16
+        raise MemoryError(f"a state on cutoffs {registry.cutoffs} needs {size} bytes") from None
+
+
 def make_vacuum(registry: ModeRegistry) -> PureState:
-    amp = np.zeros(registry.dim, dtype=complex)
+    amp = _zeros(registry).reshape(-1)
     amp[0] = 1.0
     return PureState(registry, amp)
 
@@ -123,7 +125,7 @@ def make_fock(registry: ModeRegistry, occupations) -> PureState:
             raise OccupationExceedsCutoff(
                 f"occupation {n} exceeds cutoff {mode.cutoff} on mode {mode.label!r}"
             )
-    amp = np.zeros(registry.dim, dtype=complex)
+    amp = _zeros(registry).reshape(-1)
     amp[registry.flat_index(occupations)] = 1.0
     return PureState(registry, amp)
 
@@ -190,13 +192,13 @@ def make_coherent(registry: ModeRegistry, alphas: dict[str, complex]) -> PureSta
     """
     for label in alphas:
         registry.index(label)  # raises UnknownMode
+    full = _zeros(registry)
     # the coherent factors fill the listed axes; vacuum axes stay at level 0
     listed = np.ones((), dtype=complex)
     for mode in registry.modes:
         if mode.label in alphas:
             vec = _coherent_vector(mode.label, mode.cutoff, alphas[mode.label])
             listed = np.multiply.outer(listed, vec)
-    full = np.zeros(registry.dims, dtype=complex)
     full[tuple(slice(None) if m.label in alphas else 0 for m in registry.modes)] = listed
     return PureState(registry, full.reshape(-1))
 
@@ -321,13 +323,24 @@ def mean_photon(state: State, mode: str) -> float:
     return float(per_level @ n)
 
 
+def _quadrature(t: np.ndarray, axis: int, phase: float) -> np.ndarray:
+    """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2 applied along ``axis`` of a
+    factor tensor, as two shifted slices: (a t)[n] = sqrt(n + 1) t[n + 1] and
+    (a^dag t)[n + 1] = sqrt(n + 1) t[n]."""
+    t = np.moveaxis(t, axis, 0)
+    root = np.sqrt(np.arange(1, t.shape[0])).reshape((-1,) + (1,) * (t.ndim - 1))
+    xt = np.zeros_like(t)
+    xt[:-1] = root * np.exp(-1j * phase) / 2 * t[1:]
+    xt[1:] += root * np.exp(1j * phase) / 2 * t[:-1]
+    return np.moveaxis(xt, 0, axis)
+
+
 def quadrature_variance(state: State, mode: str, phase: float) -> float:
-    """Variance of X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; vacuum gives 1/4."""
-    W = reduced_density(state, [mode]).factor
-    a = destroy(W.shape[0])
-    x = (a * np.exp(-1j * phase) + a.conj().T * np.exp(1j * phase)) / 2
-    xW = x @ W
-    # x is Hermitian: Tr(rho x) = <W, x W> and Tr(rho x x) = |x W|^2
+    """Variance of X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; vacuum gives 1/4.
+    X_phi acts on the whole factor W by ladder shifts along the mode's axis."""
+    W = _factor_tensor(state)
+    xW = _quadrature(W, state.registry.index(mode), phase)
+    # X_phi is Hermitian: Tr(rho X) = <W, X W> and Tr(rho X X) = |X W|^2
     ex = np.vdot(W, xW).real
     ex2 = np.vdot(xW, xW).real
     return float(ex2 - ex**2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .devices import Amplifier, Attenuator, Circuit, Converter, Device, PhaseShift, mode_matrix
 from .errors import NonGaussianDevice
-from .fock import State, _factor_tensor, destroy
+from .fock import State, _factor_tensor, _quadrature
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25
@@ -144,38 +144,22 @@ def gaussian_quadrature_variance(state: GaussianState, mode: str, phase: float) 
 
 
 # ---------------------------------------------------------------------------
-# cross-backend bridge: first and second quadrature moments of a Fock state
-
-
-def _quadrature_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    a = destroy(dim)
-    x = (a + a.conj().T) / 2
-    p = (a - a.conj().T) / 2j
-    return x, p
+# cross-backend bridge: first and second quadrature moments of a Fock state,
+# with the Fock backend's own ladder-shift quadratures: x = X_0, p = X_{pi/2}
 
 
 def moments_from_fock(state: State) -> tuple[np.ndarray, np.ndarray]:
     """Means vector and symmetrized covariance matrix of any Fock-backend state.
 
     Returned in the Gaussian backend's (x_1, p_1, ...) ordering, so the two
-    backends can be compared entry by entry.
+    backends can be compared entry by entry.  Each quadrature acts on the
+    factor W by ladder shifts along its mode's axis.
     """
-    reg = state.registry
-    M = reg.num_modes
-    # rho = W W^dag: every moment is a sum over the factor's columns; X W for
-    # each quadrature X = x_m, p_m, in the backend's ordering
+    # rho = W W^dag: every moment is a sum over the factor's columns; row j of
+    # XW is X_j W for each quadrature X_j = x_m, p_m, in the backend's ordering
+    M = state.registry.num_modes
     W = _factor_tensor(state)
-    transformed = [
-        np.moveaxis(np.tensordot(op, W, axes=(1, m)), 0, m).reshape(-1)
-        for m in range(M)
-        for op in _quadrature_ops(reg.dims[m])
-    ]
-    flat = W.reshape(-1)
-    means = np.array([np.vdot(flat, v).real for v in transformed])
-    second = np.empty((2 * M, 2 * M))
-    for j in range(2 * M):
-        for k in range(2 * M):
-            second[j, k] = np.vdot(transformed[j], transformed[k]).real
-    second = (second + second.T) / 2
-    cov = second - np.outer(means, means)
-    return means, cov
+    XW = np.stack([_quadrature(W, m, ph).reshape(-1) for m in range(M) for ph in (0.0, np.pi / 2)])
+    means = (XW @ W.reshape(-1).conj()).real
+    second = (XW.conj() @ XW.T).real  # <X_j W, X_k W>
+    return means, (second + second.T) / 2 - np.outer(means, means)

@@ -11,6 +11,7 @@ import pytest
 import fconv.cli
 from fconv import ScanResult
 from fconv.cli import EXPERIMENTS, FOCK_ONLY, main, parse_args, write_csv
+from fconv.devices import amplifier_required_cutoff
 
 
 def _result():
@@ -235,6 +236,15 @@ def test_failed_allocation_is_one_line_and_exit_1(exc, line, monkeypatch, tmp_pa
     monkeypatch.setattr(fconv.cli, "run_noise_comparison", runner)
     assert main(["noise", "--backend", "fock", "-o", str(tmp_path / "n.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [line]
+    assert not (tmp_path / "n.csv").exists()
+
+
+def test_oversized_cutoff_is_one_line_naming_it(tmp_path, capsys):
+    # s = 20 sizes an amplifier cutoff near 1.35e18: numpy refuses the (c + 1)^2 box
+    cutoff = amplifier_required_cutoff(20.0, tail_tol=1e-10)
+    assert main(["noise", "--s-max", "20", "-o", str(tmp_path / "n.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fconv: ") and str(cutoff) in err[0]
     assert not (tmp_path / "n.csv").exists()
 
 

@@ -25,6 +25,7 @@ from fconv import (
     make_fock,
     make_vacuum,
     mean_photon,
+    moments_from_fock,
     product_state,
     quadrature_variance,
     reduced_density,
@@ -39,6 +40,8 @@ from fconv.devices import (
     trilinear_generator,
 )
 from fconv.fock import COHERENT_TAIL_TOL, coherent_required_cutoff, poisson_tails
+
+from dense_reference import dense_moments, dense_quadrature_variance
 
 
 def random_density(registry, rng):
@@ -511,6 +514,35 @@ def test_loss_on_large_coherent_state_allocates_little():
     assert abs(mean_photon(out, "a") - 12.5) < 1e-8
 
 
+def test_quadratures_on_large_cutoff_allocate_little():
+    # at cutoff 3,000 one dense (d, d) quadrature matrix would take 144 MB
+    state = make_coherent(ModeRegistry([("a", 1.0, 3000)]), {"a": 2.0 - 1.0j})
+    tracemalloc.start()
+    try:
+        var = quadrature_variance(state, "a", 0.7)
+        means, cov = moments_from_fock(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert abs(var - 0.25) < 1e-9
+    assert np.abs(means - [2.0, -1.0]).max() < 1e-9
+    assert np.abs(cov - np.eye(2) / 4).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make_vacuum, lambda reg: make_fock(reg, [0, 0]), lambda reg: make_coherent(reg, {"a": 1.0})],
+    ids=["vacuum", "fock", "coherent"],
+)
+def test_oversized_box_raises_one_memory_error_naming_it(make):
+    # numpy refuses a (10^18 + 1)^2 box; the error names its cutoffs and bytes
+    reg = ModeRegistry([("a", 1.0, 10**18), ("b", 1.0, 10**18)])
+    with pytest.raises(MemoryError) as exc:
+        make(reg)
+    assert str(exc.value) == f"a state on cutoffs ({10**18}, {10**18}) needs {reg.dim * 16} bytes"
+
+
 # ---------------------------------------------------------------------------
 # observables
 
@@ -542,6 +574,31 @@ def test_amplifier_idler_variance():
     expect = (2 * np.sinh(r) ** 2 + 1) / 4
     for phi in (0.0, 0.7, 1.9):
         assert abs(quadrature_variance(state, "i", phi) - expect) < 1e-8
+
+
+@st.composite
+def random_fock_states(draw):
+    """A random pure state or density factor on 1-3 modes with cutoffs 1-8."""
+    cutoffs = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    reg = ModeRegistry([(f"m{k}", 1.0 + k, c) for k, c in enumerate(cutoffs)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.sampled_from([None, 1, 2, 5]))
+    shape = (reg.dim,) if rank is None else (reg.dim, rank)
+    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    W /= np.linalg.norm(W)
+    return PureState(reg, W) if rank is None else FockDensityOp(reg, factor=W)
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=random_fock_states(), phase=st.floats(-2 * np.pi, 2 * np.pi), data=st.data())
+def test_ladder_shift_quadratures_match_dense_reference(state, phase, data):
+    mode = data.draw(st.sampled_from(state.registry.labels))
+    want = dense_quadrature_variance(state, mode, phase)
+    assert abs(quadrature_variance(state, mode, phase) - want) < 1e-13
+    means, cov = moments_from_fock(state)
+    want_means, want_cov = dense_moments(state)
+    assert np.abs(means - want_means).max() < 1e-13
+    assert np.abs(cov - want_cov).max() < 1e-13
 
 
 def test_fidelity_basics():
