@@ -25,11 +25,12 @@ coupler.  The conserved-charge sectors are therefore the chains of Fock
 states along that step inside the cutoff box; `device_unitary` groups them
 by length in place of a dense unitary, and a run that first reaches a group
 exponentiates each of its distinct tridiagonal blocks once (an amplifier's
-mirror chains n_s - n_i = +-d share one; zero strength has none).  A block K is
-anti-Hermitian, so `expm` uses the Hermitian eigendecomposition of iK
-(numpy's `eigh`, no Pade approximant): the unitaries are unitary to machine
-precision whatever the truncation, whose error shows up only as state
-leakage, which the constructors guard against.
+mirror chains n_s - n_i = +-d share one; zero strength has none).  `expm`
+assembles a block from the real eigendecomposition of its chain's ladder
+elements (numpy's `eigh`, no Pade approximant), kept per cutoff box for every
+coupling: the unitaries are unitary to machine precision whatever the
+truncation, whose error shows up only as state leakage, which the
+constructors guard against.
 """
 
 from __future__ import annotations
@@ -161,14 +162,15 @@ class Circuit:
 # unitaries
 
 
-def expm(K: np.ndarray) -> np.ndarray:
-    """exp(K) for an anti-Hermitian K, from the eigenbasis of the Hermitian iK.
+def expm(c: complex, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(K) of a chain block K = c L - c^* L^dag, given T = V diag(w) V^T for the
+    real symmetric tridiagonal T of L's ladder elements along the chain.
 
-    iK = V diag(w) V^dag gives exp(K) = V diag(e^{-iw}) V^dag, which is
-    unitary by construction.
+    With D = diag(u^k), u = i e^{i angle(c)}, K = -i|c| D T D^dag, so
+    exp(K) = D V diag(e^{-i|c|w}) V^T D^dag, which is unitary by construction.
     """
-    w, v = np.linalg.eigh(1j * K)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    DV = (1j * np.exp(1j * np.angle(c))) ** np.arange(len(w))[:, None] * V
+    return (DV * np.exp(-1j * abs(c) * w)) @ DV.conj().T
 
 
 def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
@@ -188,20 +190,23 @@ class ChainGroups(list):
     their exponentials B (g, n, n), None until `build`.  State j's ladder element
     is ``coupling * elem[j]`` and its group ``group_of[j]`` (-1: on no chain)."""
 
-    def __init__(self, groups=(), coupling=0.0, elem=None, group_of=None):
+    def __init__(self, groups=(), coupling=0.0, elem=None, group_of=None, spectra=None):
         super().__init__(groups)
-        self.coupling, self.elem, self.group_of = coupling, elem, group_of
+        self.coupling, self.elem, self.group_of, self.spectra = coupling, elem, group_of, spectra
 
     def build(self, g: int) -> np.ndarray:
-        """Group g's blocks, built once: one `expm` per distinct row (mirror chains)."""
+        """Group g's blocks, built once: one `expm` per distinct row, on its stored spectrum."""
         if self[g][1] is None:
             blocks, B = {}, []
             for chain in self[g][0]:
-                row = self.coupling * self.elem[chain[:-1]]
+                row = self.elem[chain[:-1]]
                 key = row.tobytes()
                 if key not in blocks:
-                    k = np.diag(row, -1)
-                    blocks[key] = expm(k - k.conj().T)
+                    if key not in self.spectra:  # T's eigh, kept read-only for the box
+                        T = np.diag(row, -1)
+                        w, V = self.spectra[key] = np.linalg.eigh(T + T.T)
+                        w.flags.writeable = V.flags.writeable = False
+                    blocks[key] = expm(self.coupling, *self.spectra[key])
                 B.append(blocks[key])
             self[g][1] = np.array(B)
         return self[g][1]
@@ -230,6 +235,10 @@ def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
     return idx, elem, group_of
 
 
+# (cutoffs, axes, step) -> {ladder row bytes: (w, V)}; bounded by boxes, never by rows
+_spectra = functools.lru_cache(maxsize=8)(lambda cutoffs, axes, step: {})
+
+
 def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     """exp(K) for one unitary device on ``registry``, as chain groups.
 
@@ -239,7 +248,7 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     sectors.  Returns one group per chain length n >= 2, its blocks not yet
     exponentiated; states on no chain are unchanged, and zero strength
     (c = 0, phi = 0) gives no group.  PhaseShift is one built n = 1 group.
-    The chains come from the cached `_walk_chains`; the blocks are this call's own.
+    Chains and their spectra are cached per box; the blocks are this call's own.
     """
     if isinstance(dev, PhaseShift):
         phases = np.exp(1j * dev.phi * registry.occupations()[:, registry.index(dev.mode)])
@@ -259,8 +268,9 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     axes = tuple(registry.index(m) for m in dev.modes)
     if c == 0:  # exp(0) = I: no chain to apply
         return ChainGroups()
-    idx, elem, group_of = _walk_chains(registry.cutoffs, axes, step)
-    return ChainGroups([[i, None] for i in idx], c, elem, group_of)
+    key = (registry.cutoffs, axes, step)
+    idx, elem, group_of = _walk_chains(*key)
+    return ChainGroups([[i, None] for i in idx], c, elem, group_of, _spectra(*key))
 
 
 def mode_matrix(dev: Device) -> np.ndarray:

@@ -40,10 +40,16 @@ from fconv.devices import (
     trilinear_generator,
 )
 from fconv.devices import expm as chain_expm
-from fconv.fock import annihilation_matrix, apply_matrix, to_density
+from fconv.fock import annihilation_matrix, apply_matrix, coherent_required_cutoff, to_density
 from fconv.gaussian import compile_gaussian
 
 from dense_reference import dense_unitary
+
+
+def chain_spectrum(elem):
+    """eigh of the real symmetric tridiagonal whose off-diagonals are ``elem``."""
+    T = np.diag(elem, -1)
+    return np.linalg.eigh(T + T.T)
 
 
 SECTOR_WALK_CASES = {
@@ -139,7 +145,7 @@ def test_chain_expm_matches_scipy_and_is_unitary(size):
     c = rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
     elem = np.sqrt(rng.integers(1, 41, size - 1) * rng.integers(1, 41, size - 1))
     K = np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1)
-    U = chain_expm(K)
+    U = chain_expm(c, *chain_spectrum(elem))
     assert np.max(np.abs(U - expm(K))) < 1e-13
     assert np.max(np.abs(U.conj().T @ U - np.eye(size))) < 1e-13
 
@@ -551,9 +557,9 @@ def expm_calls(monkeypatch):
     calls = []
     original = fconv.devices.expm
 
-    def counting(K):
-        calls.append(K.shape[0])
-        return original(K)
+    def counting(c, w, V):
+        calls.append(len(w))
+        return original(c, w, V)
 
     monkeypatch.setattr(fconv.devices, "expm", counting)
     return calls
@@ -585,8 +591,7 @@ def test_each_distinct_block_is_exponentiated_once(cutoffs, dev, calls, expm_cal
     elem = np.sqrt(np.where(np.array(step) > 0, n + 1, n).prod(axis=1))
     for (idx, _), B in zip(groups, built):
         for chain, block in zip(idx, B):
-            k = np.diag(c * elem[chain[:-1]], -1)
-            assert np.array_equal(block, chain_expm(k - k.conj().T))
+            assert np.array_equal(block, chain_expm(c, *chain_spectrum(elem[chain[:-1]])))
 
 
 def test_noise_scan_from_zero_strength_exponentiates_one_block(expm_calls):
@@ -721,6 +726,76 @@ def test_default_fringe_scan_walks_one_box(walks, tmp_path):
     assert (walks.cache_info().misses, walks.cache_info().hits) == (1, 1)
 
 
+# ---------------------------------------------------------------------------
+# chain spectra, stored per cutoff box for every coupling
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Sizes of the np.linalg.eigh calls made while the test runs, from empty
+    chain and spectrum stores."""
+    fconv.devices._walk_chains.cache_clear()
+    fconv.devices._spectra.cache_clear()
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or original(a))
+    return calls
+
+
+def test_converter_chain_spectrum_is_jordan_schwinger(eigh_calls):
+    # the complete converter chain of total N is the spin-N/2 representation
+    # of 2 J_x: its ladder-element spectrum is N - 2k, k = 0..N, whatever theta
+    reg = ModeRegistry([("p", 2.0, 12), ("i", 1.0, 13)])
+    groups = device_unitary(reg, Converter("p", "i", 0.4, 1.1))
+    for g in range(len(groups)):
+        groups.build(g)
+    assert len(eigh_calls) == len(groups.spectra)  # one eigh per distinct row
+    for N in range(1, 13):
+        k = np.arange(N)  # <k + 1, N - k - 1| L |k, N - k> = sqrt((k + 1)(N - k))
+        w, _ = groups.spectra[np.sqrt((k + 1) * (N - k)).tobytes()]
+        assert np.max(np.abs(w - np.arange(-N, N + 1, 2))) < 1e-12
+
+
+def test_default_linearity_scan_diagonalises_each_chain_once(eigh_calls, expm_calls, tmp_path):
+    # 9 transmissions on one cutoff-12 box: 23 distinct rows, one eigh each,
+    # while every transmission still exponentiates its own 23 blocks
+    assert fconv.cli.main(["linearity", "-o", str(tmp_path / "lin.csv")]) == 0
+    assert len(eigh_calls) == 23
+    assert len(expm_calls) == 207
+
+
+def test_default_fock_noise_scan_diagonalises_one_chain(eigh_calls, expm_calls):
+    # the 10 nonzero amplifier strengths share the n_s = n_i chain's spectrum
+    run_noise_comparison(np.linspace(0.0, 1.0, 11), backend="fock")
+    assert eigh_calls == [43]
+    assert expm_calls == [43] * 10
+
+
+def test_fringe_combiner_diagonalises_nothing_over_its_converter(eigh_calls, expm_calls):
+    # the default fringe circuit: equal cutoffs along the same step, so the
+    # combiner's rows are the converter's
+    c = coherent_required_cutoff(np.hypot(1.0, 0.25))
+    reg = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
+    conv, combiner = Converter("pump", "idler", 0.6, 0.3), Converter("idler", "ref", np.pi / 4)
+    state = make_coherent(reg, {"pump": 1.0, "ref": 0.25})
+    compile_circuit(Circuit(reg, (conv,)))(state)
+    assert len(eigh_calls) == len(expm_calls) == 2 * c - 1
+    compile_circuit(Circuit(reg, (conv, combiner)))(state)
+    assert len(eigh_calls) == 2 * c - 1
+    assert len(expm_calls) == 3 * (2 * c - 1)
+
+
+def test_stored_spectra_are_read_only_and_at_most_eight_boxes(eigh_calls):
+    for cutoff in range(2, 13):
+        reg = ModeRegistry([("s", 1.0, cutoff), ("i", 1.0, cutoff)])
+        groups = device_unitary(reg, Amplifier("s", "i", 0.01))
+        groups.build(0)
+        for array in next(iter(groups.spectra.values())):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert fconv.devices._spectra.cache_info().currsize == min(cutoff - 1, 8)
+
+
 @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
 @pytest.mark.parametrize(
     "dev, prepare",
@@ -768,6 +843,27 @@ def test_chain_blocks_match_dense_expm_of_generator(data):
     reg, dev, strength, generator = _draw_device(data)
     U_dense = expm(strength * generator(reg, dev))
     assert np.max(np.abs(dense_unitary(reg, dev) - U_dense)) < 1e-12
+
+
+@pytest.mark.parametrize("strength", [5e-324, 2.2250738585072014e-308, 1e-300])
+@pytest.mark.parametrize("kind", sorted(_DENSE_CASES))
+def test_blocks_at_subnormal_and_tiny_strengths(kind, strength):
+    # the coupling's phase comes from np.angle(c): c / |c| is NaN for some
+    # subnormal c, which hypothesis found at squeeze 2.2250738585072014e-308
+    num_modes, _, build = _DENSE_CASES[kind]
+    rng = np.random.default_rng(11)
+    reg = ModeRegistry([(m, 1.0 + i, 4) for i, m in enumerate("abc"[:num_modes])])
+    for phase in rng.uniform(-np.pi, np.pi, 3):
+        dev = build("abc"[:num_modes], strength, phase)
+        groups = device_unitary(reg, dev)
+        assert len(groups) > 0
+        for g, (idx, _) in enumerate(groups):
+            for chain, block in zip(idx, groups.build(g)):
+                row = groups.coupling * groups.elem[chain[:-1]]
+                K = np.diag(row, -1) - np.diag(row.conj(), 1)
+                assert np.all(np.isfinite(block))
+                assert np.max(np.abs(block.conj().T @ block - np.eye(len(chain)))) < 1e-13
+                assert np.max(np.abs(block - expm(K))) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
