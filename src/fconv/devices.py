@@ -23,13 +23,13 @@ conjugate, and L moves every occupation by a fixed step: (+1, -1) for the
 converter, (+1, +1) for the amplifier, (+1, -1, -1) for the trilinear
 coupler.  The conserved-charge sectors are therefore the chains of Fock
 states along that step inside the cutoff box; `device_unitary` groups them
-by length in place of a dense unitary, and a run that first reaches a group
+by length in place of a dense unitary.  A run that first reaches a group
 exponentiates each of its distinct tridiagonal blocks once (an amplifier's
-mirror chains n_s - n_i = +-d share one; zero strength has none).  `expm`
-assembles a block from the real eigendecomposition of its chain's ladder
-elements (numpy's `eigh`, no Pade approximant), kept per cutoff box for every
-coupling: the unitaries are unitary to machine precision whatever the
-truncation, whose error shows up only as state leakage, which the
+mirror chains n_s - n_i = +-d share one; zero strength has none): `expm`
+assembles it from the device's phase column, formed once, and the real `eigh`
+of its ladder row (no Pade approximant), stored per group of the cutoff box
+for every coupling.  The unitaries are unitary to machine precision whatever
+the truncation, whose error shows up only as state leakage, which the
 constructors guard against.
 """
 
@@ -162,15 +162,13 @@ class Circuit:
 # unitaries
 
 
-def expm(c: complex, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """exp(K) of a chain block K = c L - c^* L^dag, given T = V diag(w) V^T for the
-    real symmetric tridiagonal T of L's ladder elements along the chain.
-
-    With D = diag(u^k), u = i e^{i angle(c)}, K = -i|c| D T D^dag, so
-    exp(K) = D V diag(e^{-i|c|w}) V^T D^dag, which is unitary by construction.
-    """
-    DV = (1j * np.exp(1j * np.angle(c))) ** np.arange(len(w))[:, None] * V
-    return (DV * np.exp(-1j * abs(c) * w)) @ DV.conj().T
+def expm(a: float, d: np.ndarray, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(K) of a chain block K = c L - c^* L^dag, given a = |c|, the column d = (u^k),
+    u = i e^{i angle(c)}, at least as long as the chain, and T = V diag(w) V^T for the
+    real symmetric tridiagonal T of L's ladder elements along the chain.  With
+    D = diag(d), K = -i a D T D^dag, so exp(K) = D V diag(e^{-i a w}) V^T D^dag: unitary."""
+    DV = d[: len(w)] * V
+    return (DV * np.exp(-1j * a * w)) @ DV.conj().T
 
 
 def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
@@ -193,22 +191,24 @@ class ChainGroups(list):
     def __init__(self, groups=(), coupling=0.0, elem=None, group_of=None, spectra=None):
         super().__init__(groups)
         self.coupling, self.elem, self.group_of, self.spectra = coupling, elem, group_of, spectra
+        self.phases = None
 
     def build(self, g: int) -> np.ndarray:
-        """Group g's blocks, built once: one `expm` per distinct row, on its stored spectrum."""
+        """Group g's blocks, built once: one `expm` per distinct row, spread to its chains."""
         if self[g][1] is None:
-            blocks, B = {}, []
-            for chain in self[g][0]:
-                row = self.elem[chain[:-1]]
-                key = row.tobytes()
-                if key not in blocks:
-                    if key not in self.spectra:  # T's eigh, kept read-only for the box
-                        T = np.diag(row, -1)
-                        w, V = self.spectra[key] = np.linalg.eigh(T + T.T)
-                        w.flags.writeable = V.flags.writeable = False
-                    blocks[key] = expm(self.coupling, *self.spectra[key])
-                B.append(blocks[key])
-            self[g][1] = np.array(B)
+            if self.phases is None:  # expm's d, down the longest chain
+                u = 1j * np.exp(1j * np.angle(self.coupling))
+                self.phases = u ** np.arange(self[-1][0].shape[1])[:, None]
+            if g not in self.spectra:  # one read-only eigh of T per distinct row, in order
+                rows, first = self.elem[self[g][0][:, :-1]], {}
+                inv = [first.setdefault(r.tobytes(), (len(first), r))[0] for r in rows]
+                eig = [np.linalg.eigh(np.diag(r, -1) + np.diag(r, 1)) for _, r in first.values()]
+                for w, V in eig:
+                    w.flags.writeable = V.flags.writeable = False
+                self.spectra[g] = eig, None if len(first) == len(rows) else np.array(inv)
+            eig, inv = self.spectra[g]
+            B = np.array([expm(abs(self.coupling), self.phases, w, V) for w, V in eig])
+            self[g][1] = B if inv is None else B[inv]
         return self[g][1]
 
 
@@ -235,7 +235,7 @@ def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
     return idx, elem, group_of
 
 
-# (cutoffs, axes, step) -> {ladder row bytes: (w, V)}; bounded by boxes, never by rows
+# (cutoffs, axes, step) -> {group: (spectra, inv)}; bounded by boxes, never by rows
 _spectra = functools.lru_cache(maxsize=8)(lambda cutoffs, axes, step: {})
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,16 +152,21 @@ def poisson_tails(mu: float) -> np.ndarray:
 
 def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= tol."""
+    return 1 + int(np.argmax(poisson_tails(_mean_photons(alpha))[1:] <= tol))
+
+
+def _mean_photons(alpha: complex, where: str = "") -> float:
+    """|alpha|^2, refused unless alpha is finite and its square is too."""
     if not np.isfinite(alpha):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
-    return 1 + int(np.argmax(poisson_tails(abs(alpha) ** 2)[1:] <= tol))
+        raise ValueError(f"coherent amplitude{where} must be finite, got {alpha}")
+    if not abs(alpha) < 2.0**511:
+        raise ValueError(f"coherent amplitude {alpha} is too large for any Fock cutoff")
+    return abs(alpha) ** 2
 
 
 def _coherent_vector(mode: str, cutoff: int, alpha: complex) -> np.ndarray:
     """Normalized amplitudes of |alpha> on levels 0..cutoff of one mode."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"coherent amplitude on mode {mode!r} must be finite, got {alpha}")
-    mu = abs(alpha) ** 2
+    mu = _mean_photons(alpha, f" on mode {mode!r}")
     tails = poisson_tails(mu)
     tail = tails[min(cutoff, len(tails) - 1)]
     if tail > COHERENT_TAIL_TOL:
@@ -266,6 +271,15 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
     return FockDensityOp(reg, factor=out)
 
 
+@lru_cache(maxsize=8)
+def _binomials(d: int) -> np.ndarray:
+    """C(m + k, k) at [m, k] as floats, zero where m + k >= d; read-only, per dimension d."""
+    rows = [[float(math.comb(m + k, k)) for k in range(d - m)] + [0.0] * m for m in range(d)]
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
 def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     """Single-mode pure-loss (attenuation) channel; always returns a density op.
 
@@ -279,15 +293,10 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     axis = reg.index(mode)
     d = reg.dims[axis]
     t = np.moveaxis(_factor_tensor(state), axis, 0)
-    lost = [(1.0 - transmission) ** k for k in range(d)]
-    kept = [transmission**m for m in range(d)]
+    lost = np.array([(1.0 - transmission) ** k for k in range(d)])
+    kept = np.array([transmission**m for m in range(d)])
     # amp[m, k] = <m| K_k |m + k>, zero where m + k > cutoff
-    amp = np.sqrt(
-        [
-            [math.comb(m + k, k) * lost[k] * kept[m] for k in range(d - m)] + [0.0] * m
-            for m in range(d)
-        ]
-    )
+    amp = np.sqrt(_binomials(d) * lost * kept[:, None])
     # out[m, ..., k] = amp[m, k] t[m + k], gathered from t padded with d zero levels
     out = np.concatenate((t, np.zeros_like(t)))[np.arange(d)[:, None] + np.arange(d)]
     out *= amp.reshape(amp.shape + (1,) * (t.ndim - 1))

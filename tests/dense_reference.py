@@ -5,6 +5,8 @@ dense single-mode matrices.
 `fconv.devices.device_unitary` keeps a device's unitary as chain blocks,
 built on demand, and never forms the dim x dim matrix; tests that compare against a dense oracle
 (scipy's expm, Heisenberg-picture operators) scatter the blocks into one.
+Each block comes from `fconv.devices.expm` on a phase column formed once per
+device; `reference_block` forms one block with its own phase, as a per-block formula.
 `fconv.experiments.run_wdm` propagates only the single-excitation
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
@@ -25,6 +27,14 @@ def dense_unitary(registry, dev) -> np.ndarray:
     for g, (idx, _) in enumerate(groups):
         U[idx[:, :, None], idx[:, None, :]] = groups.build(g)
     return U
+
+
+def reference_block(c, w, V) -> np.ndarray:
+    """exp(K) of one chain block K = c L - c^* L^dag from T = V diag(w) V^T, the
+    real tridiagonal of its ladder elements: D V diag(e^{-i|c|w}) V^T D^dag with
+    D = diag(u^k), u = i e^{i angle(c)}, every factor formed for this block alone."""
+    DV = (1j * np.exp(1j * np.angle(c))) ** np.arange(len(w))[:, None] * V
+    return (DV * np.exp(-1j * abs(c) * w)) @ DV.conj().T
 
 
 def wdm_fock_cascade(spec) -> np.ndarray:

@@ -248,6 +248,17 @@ def test_oversized_cutoff_is_one_line_naming_it(tmp_path, capsys):
     assert not (tmp_path / "n.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["linearity", "fringe"])
+def test_amplitude_too_large_for_any_cutoff_is_one_line(experiment, tmp_path, capsys):
+    # unchecked, |alpha|^2 overflows: Python's float raises "(34, 'Numerical result
+    # out of range')", numpy's (fringe's hypot) warns and then fails on int(inf)
+    argv = [experiment, "--alpha-pump", "1e200", "-o", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fconv: ") and "1e+200" in err[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize(
     "config_text, args",
     [
@@ -437,6 +448,7 @@ runs += [[e, "--backend", "both"] for e in ("linearity", "fringe", "noise")]
 for argv in runs:
     rc = fconv.cli.main(argv + ["-o", "-".join(argv) + ".csv"])
     assert rc == 0, (argv, rc)
+assert "numpy.ma" not in sys.modules  # np.unique would import it
 """
     src = str(Path(fconv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

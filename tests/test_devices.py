@@ -43,13 +43,18 @@ from fconv.devices import expm as chain_expm
 from fconv.fock import annihilation_matrix, apply_matrix, coherent_required_cutoff, to_density
 from fconv.gaussian import compile_gaussian
 
-from dense_reference import dense_unitary
+from dense_reference import dense_unitary, reference_block
 
 
 def chain_spectrum(elem):
     """eigh of the real symmetric tridiagonal whose off-diagonals are ``elem``."""
     T = np.diag(elem, -1)
     return np.linalg.eigh(T + T.T)
+
+
+def phase_column(c, n):
+    """`expm`'s column d = (u^k), u = i e^{i angle(c)}, for k = 0 .. n - 1."""
+    return (1j * np.exp(1j * np.angle(c))) ** np.arange(n)[:, None]
 
 
 SECTOR_WALK_CASES = {
@@ -145,7 +150,7 @@ def test_chain_expm_matches_scipy_and_is_unitary(size):
     c = rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
     elem = np.sqrt(rng.integers(1, 41, size - 1) * rng.integers(1, 41, size - 1))
     K = np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1)
-    U = chain_expm(c, *chain_spectrum(elem))
+    U = chain_expm(abs(c), phase_column(c, size), *chain_spectrum(elem))
     assert np.max(np.abs(U - expm(K))) < 1e-13
     assert np.max(np.abs(U.conj().T @ U - np.eye(size))) < 1e-13
 
@@ -557,9 +562,9 @@ def expm_calls(monkeypatch):
     calls = []
     original = fconv.devices.expm
 
-    def counting(c, w, V):
+    def counting(a, d, w, V):
         calls.append(len(w))
-        return original(c, w, V)
+        return original(a, d, w, V)
 
     monkeypatch.setattr(fconv.devices, "expm", counting)
     return calls
@@ -591,7 +596,8 @@ def test_each_distinct_block_is_exponentiated_once(cutoffs, dev, calls, expm_cal
     elem = np.sqrt(np.where(np.array(step) > 0, n + 1, n).prod(axis=1))
     for (idx, _), B in zip(groups, built):
         for chain, block in zip(idx, B):
-            assert np.array_equal(block, chain_expm(c, *chain_spectrum(elem[chain[:-1]])))
+            spectrum = chain_spectrum(elem[chain[:-1]])
+            assert np.array_equal(block, chain_expm(abs(c), phase_column(c, len(chain)), *spectrum))
 
 
 def test_noise_scan_from_zero_strength_exponentiates_one_block(expm_calls):
@@ -742,6 +748,15 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+def stored_spectrum(groups, row):
+    """The (w, V) that ``groups``' box stores for a ladder row on one of its chains."""
+    g = next(g for g, (idx, _) in enumerate(groups) if idx.shape[1] == len(row) + 1)
+    rows = groups.elem[groups[g][0][:, :-1]]
+    i = next(i for i, r in enumerate(rows) if np.array_equal(r, row))
+    spectra, inv = groups.spectra[g]
+    return spectra[i if inv is None else inv[i]]
+
+
 def test_converter_chain_spectrum_is_jordan_schwinger(eigh_calls):
     # the complete converter chain of total N is the spin-N/2 representation
     # of 2 J_x: its ladder-element spectrum is N - 2k, k = 0..N, whatever theta
@@ -749,10 +764,11 @@ def test_converter_chain_spectrum_is_jordan_schwinger(eigh_calls):
     groups = device_unitary(reg, Converter("p", "i", 0.4, 1.1))
     for g in range(len(groups)):
         groups.build(g)
-    assert len(eigh_calls) == len(groups.spectra)  # one eigh per distinct row
+    # one eigh per distinct row
+    assert len(eigh_calls) == sum(len(spectra) for spectra, _ in groups.spectra.values())
     for N in range(1, 13):
         k = np.arange(N)  # <k + 1, N - k - 1| L |k, N - k> = sqrt((k + 1)(N - k))
-        w, _ = groups.spectra[np.sqrt((k + 1) * (N - k)).tobytes()]
+        w, _ = stored_spectrum(groups, np.sqrt((k + 1) * (N - k)))
         assert np.max(np.abs(w - np.arange(-N, N + 1, 2))) < 1e-12
 
 
@@ -790,7 +806,8 @@ def test_stored_spectra_are_read_only_and_at_most_eight_boxes(eigh_calls):
         reg = ModeRegistry([("s", 1.0, cutoff), ("i", 1.0, cutoff)])
         groups = device_unitary(reg, Amplifier("s", "i", 0.01))
         groups.build(0)
-        for array in next(iter(groups.spectra.values())):
+        spectra, _ = groups.spectra[0]
+        for array in spectra[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert fconv.devices._spectra.cache_info().currsize == min(cutoff - 1, 8)
@@ -819,9 +836,9 @@ _DENSE_CASES = {
 }
 
 
-def _draw_device(data):
+def _draw_device(data, strength=None):
     """(registry, device, strength, dense generator) on cutoffs that are equal
-    (shared mirror blocks) or not."""
+    (shared mirror blocks) or not; the strength is drawn unless given."""
     kind = data.draw(st.sampled_from(sorted(_DENSE_CASES)), label="device")
     num_modes, generator, build = _DENSE_CASES[kind]
     cutoffs = data.draw(st.lists(st.integers(1, 8), min_size=num_modes, max_size=num_modes))
@@ -829,9 +846,10 @@ def _draw_device(data):
         cutoffs = [cutoffs[0]] * num_modes
     modes = "abc"[:num_modes]
     reg = ModeRegistry([(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))])
-    strength = data.draw(st.floats(0.0, 1.5), label="strength")
-    if kind == "amplifier":  # strictly inside the squeezed-vacuum tail guard, not on its edge
-        strength *= 0.999 * np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
+    if strength is None:
+        strength = data.draw(st.floats(0.0, 1.5), label="strength")
+        if kind == "amplifier":  # strictly inside the squeezed-vacuum tail guard, not on its edge
+            strength *= 0.999 * np.arctanh(1e-8 ** (1 / (2 * (min(cutoffs) + 1)))) / 1.5
     dev = build(modes, strength, data.draw(st.floats(-np.pi, np.pi), label="phase"))
     return reg, dev, strength, generator
 
@@ -843,6 +861,40 @@ def test_chain_blocks_match_dense_expm_of_generator(data):
     reg, dev, strength, generator = _draw_device(data)
     U_dense = expm(strength * generator(reg, dev))
     assert np.max(np.abs(dense_unitary(reg, dev) - U_dense)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_built_blocks_are_bitwise_the_per_block_formula(data):
+    # the phase column is formed once per device and sliced per block; every
+    # block must still equal, bit for bit, the formula that forms its own phases
+    tiny = data.draw(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, None]))
+    reg, dev, _, _ = _draw_device(data, tiny)
+    groups = device_unitary(reg, dev)
+    for g, (idx, _) in enumerate(groups):
+        for chain, block in zip(idx, groups.build(g)):
+            spectrum = chain_spectrum(groups.elem[chain[:-1]])
+            assert np.array_equal(block, reference_block(groups.coupling, *spectrum))
+
+
+def test_evicted_box_rebuilds_bitwise_equal_blocks(eigh_calls):
+    # equal cutoffs: mirror chains share a row, so the store keeps an inverse index
+    def build_all(cutoff):
+        reg = ModeRegistry([("s", 1.0, cutoff), ("i", 1.0, cutoff)])
+        groups = device_unitary(reg, Amplifier("s", "i", 0.01, 0.7))
+        return [groups.build(g) for g in range(len(groups))]
+
+    first = build_all(4)
+    distinct = list(eigh_calls)
+    assert distinct == [2, 3, 4, 5]  # the mirror chains n_s - n_i = +-d share one row
+    for cutoff in range(5, 13):  # 8 more boxes evict the first from the 8-box store
+        build_all(cutoff)
+    assert fconv.devices._spectra.cache_info().currsize == 8
+    eigh_calls.clear()
+    again = build_all(4)
+    assert eigh_calls == distinct
+    assert len(again) == len(first)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 @pytest.mark.parametrize("strength", [5e-324, 2.2250738585072014e-308, 1e-300])
