@@ -1,19 +1,20 @@
 """Optical devices and their truncated-space unitaries.
 
-Three interactions drive everything:
+Three interactions drive everything.  Each Gaussian device (the first two, and
+PhaseShift, a -> e^{i phi} a) states its Heisenberg action a -> U a + V a^dag
+over its ``modes`` once, as the property ``heisenberg`` = (U, V):
 
-  * Converter -- pump/idler exchange with a strong classical signal field.
-    Heisenberg action (theta = coupling * interaction time, phi_s the drive
-    phase):
+  * Converter -- pump/idler exchange with a strong classical signal field
+    (theta = coupling * interaction time, phi_s the drive phase):
         a_p -> a_p cos(theta) + e^{+i phi_s} a_i sin(theta)
         a_i -> a_i cos(theta) - e^{-i phi_s} a_p sin(theta)
-    A passive beam-splitter map: no a^dag terms, hence no spontaneous noise.
+    A passive beam-splitter map: V = 0, no a^dag terms, hence no spontaneous noise.
 
-  * Amplifier -- signal/idler two-mode squeezing with a strong classical pump.
-    Heisenberg action (r = squeeze parameter, G = cosh r, g = -e^{i phi_p} sinh r):
+  * Amplifier -- signal/idler two-mode squeezing with a strong classical pump
+    (r = squeeze parameter, G = cosh r, g = -e^{i phi_p} sinh r):
         a_s -> G a_s + g a_i^dag
         a_i -> G a_i + g a_s^dag
-    The a^dag terms are the spontaneous-noise source.
+    The a^dag terms (V != 0) are the spontaneous-noise source.
 
   * TrilinearCoupler -- all three fields quantized, a_p a_s^dag a_i^dag + h.c.
     Conserves n_p + n_s and n_s - n_i.
@@ -76,6 +77,13 @@ class Converter:
         """(step over ``modes``, coupling c) of the generator c L - c^* L^dag."""
         return (1, -1), self.theta * np.exp(1j * self.phi_s)
 
+    @property
+    def heisenberg(self):
+        """(U, V) over ``modes`` of a -> U a + V a^dag; V = 0, so single-photon
+        amplitudes c (of sum_m c_m a_m^dag |0>) go to U c."""
+        c, s, e = np.cos(self.theta), np.sin(self.theta), np.exp(1j * self.phi_s)
+        return np.array([[c, e * s], [-e.conjugate() * s, c]]), np.zeros((2, 2))
+
 
 @dataclass(frozen=True)
 class Amplifier:
@@ -94,6 +102,11 @@ class Amplifier:
     @property
     def ladder(self):
         return (1, 1), -self.squeeze * np.exp(1j * self.phi_p)
+
+    @property
+    def heisenberg(self):
+        G, g = np.cosh(self.squeeze), -np.exp(1j * self.phi_p) * np.sinh(self.squeeze)
+        return np.array([[G, 0], [0, G]]), np.array([[0, g], [g, 0]])
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,10 @@ class PhaseShift:
     @property
     def modes(self):
         return (self.mode,)
+
+    @property
+    def heisenberg(self):
+        return np.array([[np.exp(1j * self.phi)]]), np.zeros((1, 1))
 
 
 @dataclass(frozen=True)
@@ -186,11 +203,12 @@ def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
 class ChainGroups(list):
     """[idx, B] per chain length n: the flat indices idx (g, n) of g chains and
     their exponentials B (g, n, n), None until `build`.  State j's ladder element
-    is ``coupling * elem[j]`` and its group ``group_of[j]`` (-1: on no chain)."""
+    is ``coupling * elem[j]`` and its group ``group_of[j]`` (-1: on no chain);
+    ``walk`` is the box's `_walk_chains` entry, whose ``spectra`` store `build` fills."""
 
-    def __init__(self, groups=(), coupling=0.0, elem=None, group_of=None, spectra=None):
+    def __init__(self, groups=(), coupling=0.0, walk=(None,) * 4):
         super().__init__(groups)
-        self.coupling, self.elem, self.group_of, self.spectra = coupling, elem, group_of, spectra
+        self.coupling, (_, self.elem, self.group_of, self.spectra) = coupling, walk
         self.phases = None
 
     def build(self, g: int) -> np.ndarray:
@@ -215,8 +233,9 @@ class ChainGroups(list):
 @functools.lru_cache(maxsize=8)
 def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
     """The coupling-free part of `device_unitary`: ``(idx per group, elem,
-    group_of)`` of the chains along ``step`` over ``axes`` of the cutoff box,
-    walked once per box and kept read-only for every coupling."""
+    group_of, spectra)`` of the chains along ``step`` over ``axes`` of the cutoff
+    box, walked once per box and kept read-only for every coupling.  ``spectra``
+    is the box's store {group: (spectra, inv)}, which `ChainGroups.build` fills."""
     dims, ax, up = np.array(cutoffs) + 1, list(axes), np.array(step) > 0
     n, cut = np.indices(dims).reshape(len(dims), -1).T[:, ax], dims[ax] - 1
     ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
@@ -232,11 +251,7 @@ def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
     group_of = np.where(span > 0, np.searchsorted(lengths, span), -1)
     for a in (*idx, elem, group_of):
         a.flags.writeable = False
-    return idx, elem, group_of
-
-
-# (cutoffs, axes, step) -> {group: (spectra, inv)}; bounded by boxes, never by rows
-_spectra = functools.lru_cache(maxsize=8)(lambda cutoffs, axes, step: {})
+    return idx, elem, group_of, {}  # the store is bounded by boxes, never by rows
 
 
 def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
@@ -268,20 +283,8 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     axes = tuple(registry.index(m) for m in dev.modes)
     if c == 0:  # exp(0) = I: no chain to apply
         return ChainGroups()
-    key = (registry.cutoffs, axes, step)
-    idx, elem, group_of = _walk_chains(*key)
-    return ChainGroups([[i, None] for i in idx], c, elem, group_of, _spectra(*key))
-
-
-def mode_matrix(dev: Device) -> np.ndarray:
-    """U of a passive device on ``dev.modes``: a -> U a, and so single-photon
-    amplitudes c (of sum_m c_m a_m^dag |0>) -> U c."""
-    if isinstance(dev, Converter):
-        c, s, e = np.cos(dev.theta), np.sin(dev.theta), np.exp(1j * dev.phi_s)
-        return np.array([[c, e * s], [-e.conjugate() * s, c]])
-    if isinstance(dev, PhaseShift):
-        return np.array([[np.exp(1j * dev.phi)]])
-    raise TypeError(f"{type(dev).__name__} is not a passive device")
+    walk = _walk_chains(registry.cutoffs, axes, step)
+    return ChainGroups([[i, None] for i in walk[0]], c, walk)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .devices import (
     amplifier_required_cutoff,
     apply_device,
     compile_circuit,
-    mode_matrix,
 )
 from .errors import EnergyConservationViolation
 from .fock import (
@@ -360,7 +359,7 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
     c = np.zeros(len(freqs) + 1, dtype=complex)
     c[0] = 1.0
     for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1):
-        c[[0, k]] = mode_matrix(Converter("pump", f"idler{k}", theta_k, phi_k)) @ c[[0, k]]
+        c[[0, k]] = Converter("pump", f"idler{k}", theta_k, phi_k).heisenberg[0] @ c[[0, k]]
     total = float(np.sum(np.abs(c) ** 2))
     if not abs(total - 1.0) <= 1e-10:
         raise AssertionError(

@@ -152,22 +152,30 @@ def poisson_tails(mu: float) -> np.ndarray:
 
 def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
     """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= tol."""
-    return 1 + int(np.argmax(poisson_tails(_mean_photons(alpha))[1:] <= tol))
+    return 1 + int(np.argmax(_coherent_tails(alpha)[1:] <= tol))
 
 
-def _mean_photons(alpha: complex, where: str = "") -> float:
-    """|alpha|^2, refused unless alpha is finite and its square is too."""
+def _coherent_tails(alpha: complex, where: str = "") -> np.ndarray:
+    """poisson_tails(|alpha|^2), refused in one line unless alpha is finite, its
+    square is too, and the tails array fits in memory."""
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude{where} must be finite, got {alpha}")
     if not abs(alpha) < 2.0**511:
         raise ValueError(f"coherent amplitude {alpha} is too large for any Fock cutoff")
-    return abs(alpha) ** 2
+    mu = abs(alpha) ** 2
+    try:
+        return poisson_tails(mu)
+    except (ValueError, MemoryError):  # numpy refuses an array of the tails' length
+        size = 8 * (int(mu + 12 * math.sqrt(mu)) + 61)
+        raise MemoryError(
+            f"sizing the cutoff of coherent amplitude {alpha}{where} needs {size} bytes"
+        ) from None
 
 
 def _coherent_vector(mode: str, cutoff: int, alpha: complex) -> np.ndarray:
     """Normalized amplitudes of |alpha> on levels 0..cutoff of one mode."""
-    mu = _mean_photons(alpha, f" on mode {mode!r}")
-    tails = poisson_tails(mu)
+    tails = _coherent_tails(alpha, f" on mode {mode!r}")
+    mu = abs(alpha) ** 2
     tail = tails[min(cutoff, len(tails) - 1)]
     if tail > COHERENT_TAIL_TOL:
         need = coherent_required_cutoff(alpha)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Amplifier, Attenuator, Circuit, Converter, Device, PhaseShift, mode_matrix
+from .devices import Amplifier, Attenuator, Circuit, Converter, Device, PhaseShift
 from .errors import NonGaussianDevice
 from .fock import State, _factor_tensor, _quadrature
 from .registry import ModeRegistry
@@ -55,35 +55,22 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict[str, complex]) -> Gau
     return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 
-def _conj_rotation(phi: float) -> np.ndarray:
-    # action of multiplying a^dag by e^{i phi} on the (x, p) components
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, s], [s, -c]])
-
-
 def device_symplectic(registry: ModeRegistry, dev: Device) -> np.ndarray:
-    """2M x 2M quadrature transfer matrix of a unitary Gaussian device."""
+    """2M x 2M quadrature transfer matrix of a unitary Gaussian device.
+
+    With a = x + i p, the device's a -> U a + V a^dag sends
+    x -> Re(U + V) x - Im(U - V) p and p -> Im(U + V) x + Re(U - V) p.
+    """
+    if not isinstance(dev, (Converter, Amplifier, PhaseShift)):
+        raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
+    U, V = dev.heisenberg
+    P, Q = U + V, U - V
+    B = np.empty((2 * len(U), 2 * len(U)))
+    B[::2, ::2], B[::2, 1::2], B[1::2, ::2], B[1::2, 1::2] = P.real, -Q.imag, P.imag, Q.real
+    q = np.array([2 * registry.index(m) + k for m in dev.modes for k in (0, 1)])  # x, p rows
     S = np.eye(2 * registry.num_modes)
-
-    def blk(i, j):
-        return np.s_[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-
-    if isinstance(dev, (Converter, PhaseShift)):
-        # a -> U a; with a = x + i p, an entry u acts as [[Re u, -Im u], [Im u, Re u]]
-        U = mode_matrix(dev)
-        x = 2 * np.array([registry.index(m) for m in dev.modes])
-        p = x + 1
-        S[x[:, None], x] = S[p[:, None], p] = U.real
-        S[p[:, None], x] = U.imag
-        S[x[:, None], p] = -U.imag
-        return S
-    if isinstance(dev, Amplifier):
-        s_, i = registry.index(dev.signal_mode), registry.index(dev.idler_mode)
-        ch, sh = np.cosh(dev.squeeze), np.sinh(dev.squeeze)
-        S[blk(s_, s_)] = S[blk(i, i)] = ch * np.eye(2)
-        S[blk(s_, i)] = S[blk(i, s_)] = -sh * _conj_rotation(dev.phi_p)
-        return S
-    raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
+    S[q[:, None], q] = B
+    return S
 
 
 def _moment_map(registry: ModeRegistry, dev: Device):

@@ -11,11 +11,24 @@ device; `reference_block` forms one block with its own phase, as a per-block for
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
 `dense_quadrature_variance` and `dense_moments` multiply by the (d, d) matrix.
+`fconv.gaussian.device_symplectic` forms every Gaussian device's quadrature map
+from its ``heisenberg`` (U, V); `reference_symplectic` writes the passive devices
+from their mode matrix and the amplifier by hand, 2 x 2 block by block.
 """
 
 import numpy as np
 
-from fconv import Circuit, Converter, FockDensityOp, ModeRegistry, compile_circuit, make_fock
+from fconv import (
+    Amplifier,
+    Circuit,
+    Converter,
+    FockDensityOp,
+    ModeRegistry,
+    NonGaussianDevice,
+    PhaseShift,
+    compile_circuit,
+    make_fock,
+)
 from fconv.devices import device_unitary
 
 
@@ -35,6 +48,48 @@ def reference_block(c, w, V) -> np.ndarray:
     D = diag(u^k), u = i e^{i angle(c)}, every factor formed for this block alone."""
     DV = (1j * np.exp(1j * np.angle(c))) ** np.arange(len(w))[:, None] * V
     return (DV * np.exp(-1j * abs(c) * w)) @ DV.conj().T
+
+
+def mode_matrix(dev) -> np.ndarray:
+    """U of a passive device on ``dev.modes``: a -> U a, and so single-photon
+    amplitudes c (of sum_m c_m a_m^dag |0>) -> U c."""
+    if isinstance(dev, Converter):
+        c, s, e = np.cos(dev.theta), np.sin(dev.theta), np.exp(1j * dev.phi_s)
+        return np.array([[c, e * s], [-e.conjugate() * s, c]])
+    if isinstance(dev, PhaseShift):
+        return np.array([[np.exp(1j * dev.phi)]])
+    raise TypeError(f"{type(dev).__name__} is not a passive device")
+
+
+def _conj_rotation(phi: float) -> np.ndarray:
+    # action of multiplying a^dag by e^{i phi} on the (x, p) components
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, s], [s, -c]])
+
+
+def reference_symplectic(registry, dev) -> np.ndarray:
+    """2M x 2M quadrature transfer matrix of a unitary Gaussian device."""
+    S = np.eye(2 * registry.num_modes)
+
+    def blk(i, j):
+        return np.s_[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+
+    if isinstance(dev, (Converter, PhaseShift)):
+        # a -> U a; with a = x + i p, an entry u acts as [[Re u, -Im u], [Im u, Re u]]
+        U = mode_matrix(dev)
+        x = 2 * np.array([registry.index(m) for m in dev.modes])
+        p = x + 1
+        S[x[:, None], x] = S[p[:, None], p] = U.real
+        S[p[:, None], x] = U.imag
+        S[x[:, None], p] = -U.imag
+        return S
+    if isinstance(dev, Amplifier):
+        s_, i = registry.index(dev.signal_mode), registry.index(dev.idler_mode)
+        ch, sh = np.cosh(dev.squeeze), np.sinh(dev.squeeze)
+        S[blk(s_, s_)] = S[blk(i, i)] = ch * np.eye(2)
+        S[blk(s_, i)] = S[blk(i, s_)] = -sh * _conj_rotation(dev.phi_p)
+        return S
+    raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
 
 
 def wdm_fock_cascade(spec) -> np.ndarray:

@@ -260,6 +260,22 @@ def test_amplitude_too_large_for_any_cutoff_is_one_line(experiment, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv, amplitude",
+    [
+        (["linearity", "--alpha-pump", "1e9"], 1e9),  # numpy: "Unable to allocate 6.94 EiB"
+        (["linearity", "--alpha-pump", "1e10"], 1e10),  # numpy: "Maximum allowed size exceeded"
+        (["fringe", "--alpha-ref", "1e9"], 1e9),  # the hypot of 1 and 1e9 rounds to 1e9
+    ],
+)
+def test_amplitude_too_large_to_size_is_one_line_naming_it(argv, amplitude, tmp_path, capsys):
+    # the Poisson table that sizes the cutoff cannot be allocated
+    assert main([*argv, "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fconv: ") and str(amplitude) in err[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "config_text, args",
     [
         (None, "wdm"),  # --config names a missing file

@@ -703,9 +703,9 @@ def test_walk_keys_never_share_an_entry_and_match_an_uncached_walk(walks, cutoff
     for key in others:
         walks(*key)
     misses = walks.cache_info().misses
-    idx, elem, group_of = walks(cutoffs, axes, step)
+    idx, elem, group_of, _ = walks(cutoffs, axes, step)
     assert walks.cache_info().misses == misses + ((cutoffs, axes, step) not in others)
-    ref_idx, ref_elem, ref_group_of = walks.__wrapped__(cutoffs, axes, step)
+    ref_idx, ref_elem, ref_group_of, _ = walks.__wrapped__(cutoffs, axes, step)
     assert len(idx) == len(ref_idx)
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(idx, ref_idx))
     assert np.array_equal(elem, ref_elem) and np.array_equal(group_of, ref_group_of)
@@ -738,10 +738,9 @@ def test_default_fringe_scan_walks_one_box(walks, tmp_path):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Sizes of the np.linalg.eigh calls made while the test runs, from empty
-    chain and spectrum stores."""
+    """Sizes of the np.linalg.eigh calls made while the test runs, from an empty
+    store of chain walks and their spectra."""
     fconv.devices._walk_chains.cache_clear()
-    fconv.devices._spectra.cache_clear()
     calls = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or original(a))
@@ -810,7 +809,7 @@ def test_stored_spectra_are_read_only_and_at_most_eight_boxes(eigh_calls):
         for array in spectra[0]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        assert fconv.devices._spectra.cache_info().currsize == min(cutoff - 1, 8)
+        assert fconv.devices._walk_chains.cache_info().currsize == min(cutoff - 1, 8)
 
 
 @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
@@ -889,7 +888,7 @@ def test_evicted_box_rebuilds_bitwise_equal_blocks(eigh_calls):
     assert distinct == [2, 3, 4, 5]  # the mirror chains n_s - n_i = +-d share one row
     for cutoff in range(5, 13):  # 8 more boxes evict the first from the 8-box store
         build_all(cutoff)
-    assert fconv.devices._spectra.cache_info().currsize == 8
+    assert fconv.devices._walk_chains.cache_info().currsize == 8
     eigh_calls.clear()
     again = build_all(4)
     assert eigh_calls == distinct

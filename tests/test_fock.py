@@ -130,6 +130,16 @@ def test_coherent_rejects_non_finite_amplitude(alpha):
         coherent_required_cutoff(alpha)
 
 
+def test_coherent_amplitude_too_large_to_size_names_it():
+    # |alpha|^2 = 1e18: the Poisson table would hold about 1e18 entries
+    reg = ModeRegistry([("a", 1.0, 3)])
+    want = "coherent amplitude 1000000000.0 on mode 'a' needs 8000000096000000488 bytes"
+    with pytest.raises(MemoryError, match=re.escape(want)):
+        make_coherent(reg, {"a": 1e9})
+    with pytest.raises(MemoryError, match=re.escape("coherent amplitude 1000000000.0 needs")):
+        coherent_required_cutoff(1e9)
+
+
 def test_coherent_mean_photon_poisson_oracle():
     # oracle: truncated, renormalized Poisson mean computed from pmf directly
     reg = ModeRegistry([("a", 1.0, 30)])

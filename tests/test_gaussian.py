@@ -27,8 +27,9 @@ from fconv import (
     moments_from_fock,
     quadrature_variance,
 )
-from fconv.devices import mode_matrix
 from fconv.gaussian import compile_gaussian, device_symplectic
+
+from dense_reference import reference_symplectic
 
 
 def symplectic_form(num_modes):
@@ -135,7 +136,7 @@ def test_symplectic_property(dev):
 def test_passive_symplectic_is_real_form_of_mode_matrix(dev):
     # with a = x + i p, u a acts on (x, p) as Re u * I + Im u * [[0, -1], [1, 0]]
     reg = ModeRegistry([(m, 1.0, 1) for m in dev.modes])
-    U = mode_matrix(dev)
+    U, _ = dev.heisenberg
     real_form = np.kron(U.real, np.eye(2)) + np.kron(U.imag, [[0.0, -1.0], [1.0, 0.0]])
     assert np.max(np.abs(device_symplectic(reg, dev) - real_form)) < 1e-15
 
@@ -212,6 +213,44 @@ def test_compiled_circuit_matches_sequential_application(devices, alphas):
     for out in (one_by_one, run(state), run(state)):
         assert np.max(np.abs(out.means - means)) < 1e-12
         assert np.max(np.abs(out.cov - cov)) < 1e-12
+
+
+_strength = st.just(0.0) | st.floats(0.0, 3.0)
+_any_phase = st.floats(allow_nan=False, allow_infinity=False)
+_gaussian_device = st.one_of(
+    st.builds(lambda m, t, p: Converter(*m, t, p), _pairs, _strength, _any_phase),
+    st.builds(lambda m, r, p: Amplifier(*m, r, p), _pairs, _strength, _any_phase),
+    st.builds(PhaseShift, st.sampled_from(_MODES), _any_phase),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gaussian_device)
+def test_symplectic_from_heisenberg_is_bitwise_the_two_branch_formula(dev):
+    # one formula over (U, V) for every device, against the passive-or-amplifier fork
+    reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
+    assert np.array_equal(device_symplectic(reg, dev), reference_symplectic(reg, dev))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gaussian_device)
+def test_heisenberg_map_keeps_the_commutators(dev):
+    # [a_j, a_k^dag] = delta_jk and [a_j, a_k] = 0 after a -> U a + V a^dag
+    U, V = dev.heisenberg
+    n = len(dev.modes)
+    assert U.shape == V.shape == (n, n)
+    assert np.max(np.abs(U @ U.conj().T - V @ V.conj().T - np.eye(n))) < 1e-12
+    assert np.max(np.abs(U @ V.T - V @ U.T)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dev", [TrilinearCoupler("a", "b", "c", 0.2), Attenuator("b", 0.5)], ids=["trilinear", "loss"]
+)
+def test_devices_without_heisenberg_map_have_no_symplectic(dev):
+    reg = ModeRegistry([(m, 1.0, 2) for m in _MODES])
+    for symplectic in (device_symplectic, reference_symplectic):
+        with pytest.raises(NonGaussianDevice):
+            symplectic(reg, dev)
 
 
 def test_random_circuit_cross_backend():
