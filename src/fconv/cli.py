@@ -4,7 +4,7 @@ Every run is deterministic: identical flags produce byte-identical files.
 `EXPERIMENTS` holds one row per experiment: its parameters, each declared
 once (the flags, their defaults and help, and the types of config-file values
 all follow from it), and the runner call.  Every Fock cutoff is sized by the
-runner from the photon number its circuit conserves; no flag overrides it.
+backend from the photon number the circuit conserves; no flag overrides it.
 An optional JSON config file supplies defaults: the experiment's own section,
 or else the top-level keys that name no experiment.  Explicit flags win.
 """
@@ -261,6 +261,7 @@ def _suffixed(path: str, tag: str) -> str:
     return path.removesuffix(".csv") + f".{tag}.csv"
 
 
+@np.errstate(over="raise", invalid="raise")  # an inf or nan result ends the run
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FconvError, OSError, ValueError, MemoryError, OverflowError) as exc:
+    except (FconvError, OSError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"fconv: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

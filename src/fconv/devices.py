@@ -272,7 +272,7 @@ def device_unitary(registry: ModeRegistry, dev: Device) -> ChainGroups:
     if not isinstance(dev, (Converter, Amplifier, TrilinearCoupler)):
         raise TypeError(f"{type(dev).__name__} has no unitary representation")
     if isinstance(dev, Amplifier):
-        cmin = min(registry.cutoff(dev.signal_mode), registry.cutoff(dev.idler_mode))
+        cmin = min(registry.cutoffs[registry.index(m)] for m in dev.modes)
         need = amplifier_required_cutoff(dev.squeeze)
         if cmin < need:
             raise CutoffTooSmall(

@@ -5,10 +5,11 @@ All runners are pure functions of their parameters and return a ScanResult;
 nothing here touches global state, so scan points can be evaluated in
 parallel by callers if desired.
 
-Cutoffs follow from conservation: converters, attenuators and the trilinear
-coupler never put more photons on a mode than the input holds in total, so each
-mode gets the coherent tail of sqrt(sum |alpha|^2) plus any Fock photons.  Only
-amplifiers create photons; they keep their own squeezed-vacuum tail.
+Runners name their modes and photon budget; the backend's `space` sizes them.
+Fock cutoffs follow from conservation: converters, attenuators and the
+trilinear coupler never add photons, so each mode gets the coherent tail of
+sqrt(sum |alpha|^2) plus any Fock photons; amplifiers keep their pair tail.
+The Gaussian backend sizes no Fock box, and its CSVs record no cutoffs.
 """
 
 from __future__ import annotations
@@ -96,33 +97,44 @@ class WdmSpec:
         return tuple(self.pump_frequency - f for f, _, _ in self.channels)
 
 
+def _fock_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
+    """Every mode cut at the coherent tail of the total amplitude or, given a
+    squeeze, at its vacuum pair tail, to 1e-10 since the Fock variance reads it."""
+    c = (coherent_required_cutoff(alpha) if squeeze is None
+         else amplifier_required_cutoff(squeeze, tail_tol=1e-10))
+    return ModeRegistry([(label, f, c) for label, f in modes])
+
+
+def _gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
+    """Moments need no Fock box: every cutoff is 1, and no code reads it."""
+    return ModeRegistry([(label, f, 1) for label, f in modes])
+
+
 def _backend(name: str):
-    """(prepare, compile, mean_photon, quadrature_variance) of one backend, where
-    prepare(registry, {label: alpha}) is a coherent state, vacuum elsewhere, and
-    compile(circuit) is the circuit as a function on that backend's states.
+    """(space, prepare, compile, mean_photon, quadrature_variance) of one backend:
+    space(modes, alpha=0.0, squeeze=None) is the registry of (label, frequency)
+    pairs for a photon budget, prepare(registry, {label: alpha}) a coherent state,
+    vacuum elsewhere, and compile(circuit) the circuit as a function on its states.
 
     This is the one place that names a backend.  Read from this module's
     bindings on each call, not from a table, so a wrapper on one of those
     names (such as the benchmark tracer) sees it.
     """
     if name == "fock":
-        return make_coherent, compile_circuit, mean_photon, quadrature_variance
+        return _fock_space, make_coherent, compile_circuit, mean_photon, quadrature_variance
     if name == "gaussian":
-        return (
-            coherent_gaussian, compile_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
-        )
+        return (_gaussian_space, coherent_gaussian, compile_gaussian, gaussian_mean_photon,
+                gaussian_quadrature_variance)
     raise ValueError(f"unknown backend {name!r}")
 
 
-def _cutoffs(registry: ModeRegistry) -> str:
-    return ";".join(f"{m.label}={m.cutoff}" for m in registry.modes)
-
-
-def _meta(backend: str, registry: ModeRegistry, **params) -> dict[str, str]:
+def _meta(backend: str, **params) -> dict[str, str]:
     meta = {"backend": backend}
-    meta["cutoffs"] = _cutoffs(registry)
     for k, v in params.items():
-        meta[k] = repr(v) if isinstance(v, (int, float, complex)) else str(v)
+        if not isinstance(v, ModeRegistry):
+            meta[k] = repr(v) if isinstance(v, (int, float, complex)) else str(v)
+        elif backend == "fock":  # a registry is written as its cutoffs; Gaussian runs size none
+            meta[k] = ";".join(f"{m.label}={m.cutoff}" for m in v.modes)
     return meta
 
 
@@ -149,9 +161,8 @@ def run_linearity(
     if not noise_floor >= 0:
         raise ValueError("noise_floor must be >= 0")
 
-    prepare, compile_, photons, _ = _backend(backend)
-    c = coherent_required_cutoff(alpha_pump)
-    registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c)])
+    space, prepare, compile_, photons, _ = _backend(backend)
+    registry = space([("pump", 2.0), ("idler", 1.0)], alpha_pump)
     conv = Converter("pump", "idler", theta)
     pump = prepare(registry, {"pump": alpha_pump})
 
@@ -167,7 +178,7 @@ def run_linearity(
         column_labels=("idler_mean_photons",),
         rows=tuple(rows),
         metadata=_meta(
-            backend, registry, theta=theta, alpha_pump=alpha_pump, noise_floor=noise_floor
+            backend, cutoffs=registry, theta=theta, alpha_pump=alpha_pump, noise_floor=noise_floor
         ),
     )
 
@@ -190,11 +201,10 @@ def run_fringe(
     Degenerate configuration: the idler and the reference sit at half the pump
     frequency, so they interfere directly.
     """
-    prepare, compile_, photons, _ = _backend(backend)
+    space, prepare, compile_, photons, _ = _backend(backend)
     phis = [float(p) for p in phi_p_points]
     total = np.hypot(abs(alpha_pump), abs(alpha_ref))  # one photon budget for all three modes
-    c = coherent_required_cutoff(total)
-    registry = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
+    registry = space([("pump", 2.0), ("idler", 1.0), ("ref", 1.0)], total)
     conv = Converter("pump", "idler", theta, phi_s)
     combiner = Converter("idler", "ref", np.pi / 4)
     run = compile_(Circuit(registry, (conv, combiner)))
@@ -211,11 +221,7 @@ def run_fringe(
         column_labels=("combined_mean_photons",),
         rows=tuple(rows),
         metadata=_meta(
-            backend,
-            registry,
-            alpha_pump=alpha_pump,
-            alpha_ref=alpha_ref,
-            theta=theta,
+            backend, cutoffs=registry, alpha_pump=alpha_pump, alpha_ref=alpha_ref, theta=theta,
             phi_s=phi_s,
         ),
     )
@@ -249,16 +255,13 @@ def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResu
     Amplifier(squeeze=s): idler variance grows as (2 sinh^2 s + 1)/4 and the
     idler fills with sinh^2 s spontaneous photons -- the a^dag-term noise.
     """
-    prepare, compile_, photons, variance = _backend(backend)
+    space, prepare, compile_, photons, variance = _backend(backend)
     ss = [float(s) for s in strength_points]
     if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
-    # one rule for both backends: the converter keeps its vacuum input's zero photons;
-    # the amplifier's pair tail feeds the Fock variance, so it is cut well below 1e-8
-    c_conv, c_amp = 1, amplifier_required_cutoff(max(ss, default=0.0), tail_tol=1e-10)
-    reg_conv = ModeRegistry([("pump", 2.0, c_conv), ("idler", 1.0, c_conv)])
-    reg_amp = ModeRegistry([("signal", 1.2, c_amp), ("idler", 0.8, c_amp)])
+    reg_conv = space([("pump", 2.0), ("idler", 1.0)])  # vacuum stays vacuum
+    reg_amp = space([("signal", 1.2), ("idler", 0.8)], squeeze=max(ss, default=0.0))
     vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
 
     rows = []
@@ -282,7 +285,7 @@ def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResu
             "amplifier_spontaneous_photons",
         ),
         rows=tuple(rows),
-        metadata=_meta(backend, reg_amp, converter_cutoffs=_cutoffs(reg_conv)),
+        metadata=_meta(backend, cutoffs=reg_amp, converter_cutoffs=reg_conv),
     )
 
 
@@ -309,7 +312,6 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
     c_p = pump_input.registry.cutoffs[0]
 
     # linearized prediction: same pump input through a converter at theta
-    reg2 = ModeRegistry([("pump", 2.0, c_p), ("idler", 1.0, c_p)])
     pump = PureState(ModeRegistry([("pump", 2.0, c_p)]), pump_input.amplitudes)
     target = apply_device(
         product_state(pump, make_vacuum(ModeRegistry([("idler", 1.0, c_p)]))),
@@ -330,7 +332,7 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
         column_labels=("fidelity_vs_converter",),
         rows=tuple(rows),
         metadata=_meta(
-            "fock", reg2, theta=theta, pump_cutoff=c_p,
+            "fock", cutoffs=target.registry, theta=theta, pump_cutoff=c_p,
             signal_cutoffs=";".join(map(str, signal_cutoffs)),
         ),
     )
@@ -374,7 +376,7 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
         rows=rows,
         metadata=_meta(
             "fock",
-            registry,
+            cutoffs=registry,
             pump_frequency=spec.pump_frequency,
             residual_pump_probability=float(np.abs(c[0]) ** 2),
         ),

@@ -150,9 +150,9 @@ def poisson_tails(mu: float) -> np.ndarray:
     return np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
 
 
-def coherent_required_cutoff(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
-    """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= tol."""
-    return 1 + int(np.argmax(_coherent_tails(alpha)[1:] <= tol))
+def coherent_required_cutoff(alpha: complex) -> int:
+    """Smallest cutoff >= 1 whose Poisson tail mass beyond it is <= COHERENT_TAIL_TOL."""
+    return 1 + int(np.argmax(_coherent_tails(alpha)[1:] <= COHERENT_TAIL_TOL))
 
 
 def _coherent_tails(alpha: complex, where: str = "") -> np.ndarray:

@@ -27,7 +27,7 @@ VACUUM_VARIANCE = 0.25
 
 @dataclass(frozen=True)
 class GaussianState:
-    registry: ModeRegistry  # cutoffs are ignored by this backend
+    registry: ModeRegistry  # labels and order; this backend reads no cutoff
     means: np.ndarray
     cov: np.ndarray
 

@@ -68,9 +68,6 @@ class ModeRegistry:
         except KeyError:
             raise UnknownMode(f"unknown mode {label!r}; have {self.labels}") from None
 
-    def cutoff(self, label: str) -> int:
-        return self.modes[self.index(label)].cutoff
-
     def occupations(self) -> np.ndarray:
         """(dim, M) integer array: row i is the occupation tuple of basis state i."""
         grids = np.indices(self.dims).reshape(self.num_modes, -1).T

@@ -165,6 +165,14 @@ def test_bad_channel_flag_names_the_format(capsys):
 # end-to-end runs
 
 
+def _read_csv(path):
+    """({metadata key: value}, header, rows as a float array) of a written scan."""
+    lines = path.read_text().splitlines()
+    meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+    header, *rows = [l for l in lines if not l.startswith("#")]
+    return meta, header, np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
 def test_main_deterministic_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["wdm", "--channel", "1.1:0.7854", "--channel", "0.9:1.5708"]
@@ -190,22 +198,70 @@ def test_main_both_backends_writes_two_files(tmp_path):
     fock = tmp_path / "lin.fock.csv"
     gauss = tmp_path / "lin.gaussian.csv"
     assert fock.exists() and gauss.exists()
-
-    def column(path):
-        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
-        return np.array([[float(v) for v in r.split(",")] for r in rows])
-
-    assert np.max(np.abs(column(fock) - column(gauss))) < 1e-7
+    assert np.max(np.abs(_read_csv(fock)[2] - _read_csv(gauss)[2])) < 1e-7
 
 
 def test_main_noise_csv_content(tmp_path):
-    out = tmp_path / "noise.csv"
-    assert main(["noise", "--backend", "gaussian", "--points", "3", "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "strength,converter_variance,amplifier_variance,amplifier_spontaneous_photons"
-    meta = {l[2:].split("=")[0] for l in lines if l.startswith("# ")}
-    assert "backend" in meta and "cutoffs" in meta
+    # a Fock run records the cutoffs it sized; a Gaussian run sizes none
+    metas = {}
+    for backend in ("fock", "gaussian"):
+        out = tmp_path / f"noise.{backend}.csv"
+        assert main(["noise", "--backend", backend, "--points", "3", "-o", str(out)]) == 0
+        metas[backend], header, _ = _read_csv(out)
+        assert header == (
+            "strength,converter_variance,amplifier_variance,amplifier_spontaneous_photons"
+        )
+        assert metas[backend]["backend"] == backend
+    c = amplifier_required_cutoff(1.0, tail_tol=1e-10)
+    assert metas["fock"]["cutoffs"] == f"signal={c};idler={c}"
+    assert metas["fock"]["converter_cutoffs"] == "pump=1;idler=1"
+    assert not {"cutoffs", "converter_cutoffs"} & set(metas["gaussian"])
+
+
+def _fringe(phi, alpha_pump=1.0, alpha_ref=0.25, theta=np.pi / 6):
+    idler = -np.sin(theta) * alpha_pump * np.exp(1j * phi)  # converter at phi_s = 0
+    return np.abs(idler + alpha_ref) ** 2 / 2  # one port of the balanced combiner
+
+
+def _noise(s):
+    sh2 = np.sinh(s) ** 2
+    return np.column_stack([np.full_like(s, 0.25), (2 * sh2 + 1) / 4, sh2])
+
+
+@pytest.mark.parametrize(
+    "argv, closed_form",
+    [
+        (["linearity", "--alpha-pump", "1e100"], lambda t: (t * 1e200 * 0.01)[:, None]),
+        (["fringe", "--alpha-pump", "1e6"], lambda phi: _fringe(phi, alpha_pump=1e6)[:, None]),
+        (["fringe", "--alpha-ref", "1e9"], lambda phi: _fringe(phi, alpha_ref=1e9)[:, None]),
+        (["noise", "--s-max", "355"], _noise),  # sinh^2(355) ~ 5.6e307
+    ],
+    ids=["linearity-alpha-1e100", "fringe-alpha-1e6", "fringe-ref-1e9", "noise-s-355"],
+)
+def test_gaussian_runs_size_no_fock_box(argv, closed_form, tmp_path):
+    # no Fock box of these amplitudes or strengths fits in memory, and the
+    # Gaussian backend builds none: each column is its closed form
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--backend", "gaussian", "-o", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert "cutoffs" not in meta
+    assert np.isfinite(rows).all()
+    assert np.allclose(rows[:, 1:], closed_form(rows[:, 0]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning before the line either
+@pytest.mark.parametrize(
+    "argv",
+    [["noise", "--s-max", "356"], ["linearity", "--alpha-pump", "1e200"]],
+    ids=["noise-s-356", "linearity-alpha-1e200"],
+)
+def test_result_past_the_float_range_is_one_line(argv, tmp_path, capsys):
+    # cosh^2(356) and (1e200)^2 leave the float range: an error, not a column of inf
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--backend", "gaussian", "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fconv: ") and "overflow" in err[0]
+    assert not out.exists()
 
 
 def test_main_error_reports_nonzero(tmp_path, capsys):

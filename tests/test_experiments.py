@@ -225,22 +225,36 @@ def test_noise_metadata_records_both_registries():
     c = amplifier_required_cutoff(0.5, tail_tol=1e-10)
     assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
     assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"  # vacuum stays vacuum
-    res = run_noise_comparison([0.0, 0.5], backend="gaussian")  # the Fock rule, recorded
-    assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
-    assert res.metadata["converter_cutoffs"] == "pump=1;idler=1"
+    res = run_noise_comparison([0.0, 0.5], backend="gaussian")  # no Fock box, no record
+    assert not {"cutoffs", "converter_cutoffs"} & set(res.metadata)
     res = run_noise_comparison([0.0], backend="fock")  # no squeezing: no floor either
     assert res.metadata["cutoffs"] == "signal=1;idler=1"
     assert res.rows[0][1] == (0.25, 0.25, 0.0)
 
 
-def test_gaussian_noise_past_tanh_rounding_records_the_fock_rule():
-    # tanh(20)^2 rounds to 1; the shared cutoff rule must still size the record
-    from fconv.devices import amplifier_required_cutoff
-
+def test_gaussian_noise_past_tanh_rounding_records_no_cutoffs():
+    # tanh(20)^2 rounds to 1; the moments hold sinh^2(20) with no Fock box behind them
     res = run_noise_comparison([0.0, 20.0], backend="gaussian")
-    c = amplifier_required_cutoff(20.0, tail_tol=1e-10)
-    assert res.metadata["cutoffs"] == f"signal={c};idler={c}"
+    assert not {"cutoffs", "converter_cutoffs"} & set(res.metadata)
     assert abs(res.column("amplifier_spontaneous_photons")[1] / np.sinh(20.0) ** 2 - 1) < 1e-12
+
+
+def test_gaussian_runs_call_no_fock_cutoff_rule(monkeypatch):
+    # the backend's `space` sizes the modes: a Gaussian run never reaches either rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock cutoff rule was called")
+
+    monkeypatch.setattr(fconv.experiments, "coherent_required_cutoff", refuse)
+    monkeypatch.setattr(fconv.experiments, "amplifier_required_cutoff", refuse)
+    runs = [
+        lambda backend: run_linearity([1.0, 0.5], 0.1, 2.0, backend=backend),
+        lambda backend: run_fringe([0.0, 1.0], 2.0, 0.5, 0.3, backend=backend),
+        lambda backend: run_noise_comparison([0.0, 1.0], backend=backend),
+    ]
+    for run in runs:
+        assert "cutoffs" not in run("gaussian").metadata
+        with pytest.raises(AssertionError, match="cutoff rule"):  # the patch is live
+            run("fock")
 
 
 # ---------------------------------------------------------------------------
