@@ -252,6 +252,9 @@ def parse_args(argv) -> RunConfig:
     t_min = params.get("t_min", 0.5)  # geomspace(1, t_min, points) must strictly decrease
     if not (0.0 < t_min < 1.0 or t_min == 1.0 and params["points"] == 1):
         raise ValueError(f"--t-min must lie in (0, 1), or be 1 with --points 1, got {t_min}")
+    s_max = params.get("s_max", 1.0)  # linspace(0, s_max, points) must strictly increase
+    if not (s_max > 0.0 or s_max == 0.0 and params["points"] == 1):
+        raise ValueError(f"--s-max must be > 0, or be 0 with --points 1, got {s_max}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
         raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
     return RunConfig(ns.experiment, backend, params, output)

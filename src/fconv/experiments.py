@@ -10,6 +10,11 @@ Fock cutoffs follow from conservation: converters, attenuators and the
 trilinear coupler never add photons, so each mode gets the coherent tail of
 sqrt(sum |alpha|^2) plus any Fock photons; amplifiers keep their pair tail.
 The Gaussian backend sizes no Fock box, and its CSVs record no cutoffs.
+
+A runner hands its backend's `sweep` every point of its scan at once, each as
+a devices tuple and an input {label: alpha}, with the reads to take.  The
+Fock sweep runs the points in turn; the Gaussian sweep stacks them on a
+leading point axis and moves the whole scan in one affine step.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .fock import (
     reduced_density,
 )
 from .gaussian import (
-    coherent_gaussian, compile_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
+    _fold, _step, coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
 )
 from .registry import ModeRegistry
 
@@ -110,21 +115,61 @@ def _gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
     return ModeRegistry([(label, f, 1) for label, f in modes])
 
 
-def _backend(name: str):
-    """(space, prepare, compile, mean_photon, quadrature_variance) of one backend:
-    space(modes, alpha=0.0, squeeze=None) is the registry of (label, frequency)
-    pairs for a photon budget, prepare(registry, {label: alpha}) a coherent state,
-    vacuum elsewhere, and compile(circuit) the circuit as a function on its states.
+def _fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
+    """The points in turn on the Fock backend.  A devices tuple or input dict that
+    is the same object as the previous point's is compiled or prepared once, and a
+    circuit's blocks are freed before the next circuit builds its own."""
+    read = {"photons": mean_photon, "variance": quadrature_variance}
 
-    This is the one place that names a backend.  Read from this module's
-    bindings on each call, not from a table, so a wrapper on one of those
-    names (such as the benchmark tracer) sees it.
+    def take(state):  # the output state is dropped once its reads are taken
+        return [read[kind](state, *args) for kind, *args in reads]
+
+    out = np.empty((len(points), len(reads)))
+    devices = alphas = None
+    for i, (devs, inputs) in enumerate(points):
+        if devs is not devices:
+            devices, run = devs, compile_circuit(Circuit(registry, devs))
+        if inputs is not alphas:
+            alphas, state = inputs, make_coherent(registry, inputs)
+        out[i] = take(run(state))
+    return out
+
+
+def _gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
+    """Every point at once on the Gaussian backend.  The inputs stack into one means
+    array; each device position is one moment map, shared if every point holds the
+    same device object and stacked over the points otherwise; one affine step moves
+    the stack, and each read is one call over it."""
+    out = np.empty((len(points), len(reads)))
+    if not points:
+        return out
+    devices, inputs = zip(*points)
+    positions = [devs[0] if all(d is devs[0] for d in devs) else list(devs)
+                 for devs in zip(*devices, strict=True)]  # every point holds one per position
+    labels = dict.fromkeys(label for alphas in inputs for label in alphas)
+    amplitudes = {label: np.array([a.get(label, 0.0) for a in inputs]) for label in labels}
+    state = _step(coherent_gaussian(registry, amplitudes), _fold(registry, positions))
+    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
+    for j, (kind, *args) in enumerate(reads):
+        out[:, j] = read[kind](state, *args)
+    return out
+
+
+def _backend(name: str):
+    """(space, sweep) of one backend: space(modes, alpha=0.0, squeeze=None) is the
+    registry of (label, frequency) pairs for a photon budget, and
+    sweep(registry, points, reads) the points x reads array of a scan, each point
+    (devices, {label: alpha}) with a coherent input, vacuum elsewhere, and each read
+    ("photons", mode) or ("variance", mode, phase).
+
+    This is the one place that names a backend.  The sweeps read the functions
+    they call from the module bindings on each call, not from a table, so a
+    wrapper on one of those names (such as the benchmark tracer) sees it.
     """
     if name == "fock":
-        return _fock_space, make_coherent, compile_circuit, mean_photon, quadrature_variance
+        return _fock_space, _fock_sweep
     if name == "gaussian":
-        return (_gaussian_space, coherent_gaussian, compile_gaussian, gaussian_mean_photon,
-                gaussian_quadrature_variance)
+        return _gaussian_space, _gaussian_sweep
     raise ValueError(f"unknown backend {name!r}")
 
 
@@ -161,16 +206,12 @@ def run_linearity(
     if not noise_floor >= 0:
         raise ValueError("noise_floor must be >= 0")
 
-    space, prepare, compile_, photons, _ = _backend(backend)
+    space, sweep = _backend(backend)
     registry = space([("pump", 2.0), ("idler", 1.0)], alpha_pump)
-    conv = Converter("pump", "idler", theta)
-    pump = prepare(registry, {"pump": alpha_pump})
-
-    rows = []
-    for T in ts:
-        # compiled inline, so each point's unitary is freed before the next is built
-        out = compile_(Circuit(registry, (Attenuator("pump", T), conv)))(pump)
-        rows.append((T, (photons(out, "idler") + noise_floor,)))
+    conv, pump = Converter("pump", "idler", theta), {"pump": alpha_pump}
+    points = [((Attenuator("pump", T), conv), pump) for T in ts]
+    idler = sweep(registry, points, [("photons", "idler")])[:, 0]
+    rows = [(T, (n + noise_floor,)) for T, n in zip(ts, idler)]
 
     return ScanResult(
         name="linearity",
@@ -201,19 +242,14 @@ def run_fringe(
     Degenerate configuration: the idler and the reference sit at half the pump
     frequency, so they interfere directly.
     """
-    space, prepare, compile_, photons, _ = _backend(backend)
+    space, sweep = _backend(backend)
     phis = [float(p) for p in phi_p_points]
     total = np.hypot(abs(alpha_pump), abs(alpha_ref))  # one photon budget for all three modes
     registry = space([("pump", 2.0), ("idler", 1.0), ("ref", 1.0)], total)
-    conv = Converter("pump", "idler", theta, phi_s)
-    combiner = Converter("idler", "ref", np.pi / 4)
-    run = compile_(Circuit(registry, (conv, combiner)))
-
-    rows = []
-    for phi_p in phis:
-        a_p = alpha_pump * np.exp(1j * phi_p)
-        state = run(prepare(registry, {"pump": a_p, "ref": alpha_ref}))
-        rows.append((phi_p, (photons(state, "idler"),)))
+    devices = (Converter("pump", "idler", theta, phi_s), Converter("idler", "ref", np.pi / 4))
+    points = [(devices, {"pump": alpha_pump * np.exp(1j * p), "ref": alpha_ref}) for p in phis]
+    combined = sweep(registry, points, [("photons", "idler")])[:, 0]
+    rows = [(p, (n,)) for p, n in zip(phis, combined)]
 
     return ScanResult(
         name="fringe",
@@ -255,26 +291,20 @@ def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResu
     Amplifier(squeeze=s): idler variance grows as (2 sinh^2 s + 1)/4 and the
     idler fills with sinh^2 s spontaneous photons -- the a^dag-term noise.
     """
-    space, prepare, compile_, photons, variance = _backend(backend)
+    space, sweep = _backend(backend)
     ss = [float(s) for s in strength_points]
     if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
     reg_conv = space([("pump", 2.0), ("idler", 1.0)])  # vacuum stays vacuum
     reg_amp = space([("signal", 1.2), ("idler", 0.8)], squeeze=max(ss, default=0.0))
-    vac_conv, vac_amp = prepare(reg_conv, {}), prepare(reg_amp, {})
-
-    rows = []
-    for s in ss:
-        # compiled circuits are dropped once run, so only one device's blocks are
-        # held at a time; the chain walks of the two boxes are cached and shared
-        conv = Circuit(reg_conv, (Converter("pump", "idler", s),))
-        amp = Circuit(reg_amp, (Amplifier("signal", "idler", s),))
-        cstate = compile_(conv)(vac_conv)
-        astate = compile_(amp)(vac_amp)
-        v_conv = variance(cstate, "idler", 0.0)
-        v_amp = variance(astate, "idler", 0.0)
-        rows.append((s, (v_conv, v_amp, photons(astate, "idler"))))
+    vacuum, idler = {}, ("variance", "idler", 0.0)
+    # one device per point, each freed once run: one device's blocks are held at
+    # a time, and the chain walks of each box are cached across its points
+    conv = sweep(reg_conv, [((Converter("pump", "idler", s),), vacuum) for s in ss], [idler])
+    amp = sweep(reg_amp, [((Amplifier("signal", "idler", s),), vacuum) for s in ss],
+                [idler, ("photons", "idler")])
+    rows = [(s, (c, *a)) for s, c, a in zip(ss, conv[:, 0], amp)]
 
     return ScanResult(
         name="noise_comparison",

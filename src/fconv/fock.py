@@ -18,6 +18,7 @@ mutated after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -280,12 +281,26 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
 
 
 @lru_cache(maxsize=8)
-def _binomials(d: int) -> np.ndarray:
-    """C(m + k, k) at [m, k] as floats, zero where m + k >= d; read-only, per dimension d."""
-    rows = [[float(math.comb(m + k, k)) for k in range(d - m)] + [0.0] * m for m in range(d)]
-    table = np.array(rows)
-    table.flags.writeable = False
-    return table
+def _binomials(d: int) -> tuple[np.ndarray, ...]:
+    """(C, m, k, log C): C(m + k, k) at [m, k] as floats, zero where m + k >= d, and
+    the m, k and log C of the entries past the float range (m + k >= 1030), which C
+    holds as zero; read-only, per dimension d.  Row m is the exact running sum of row m - 1."""
+    rows, big, row = [], [], [1] * d
+    for m in range(d):
+        floats = []
+        for k, c in enumerate(row):
+            try:
+                floats.append(float(c))
+            except OverflowError:
+                floats.append(0.0)
+                big.append((m, k, math.log(c)))
+        rows.append(floats + [0.0] * m)
+        row = list(itertools.accumulate(row[: d - m - 1]))
+    big = np.array(big).reshape(-1, 3).T
+    out = np.array(rows), big[0].astype(int), big[1].astype(int), big[2]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
@@ -304,7 +319,11 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     lost = np.array([(1.0 - transmission) ** k for k in range(d)])
     kept = np.array([transmission**m for m in range(d)])
     # amp[m, k] = <m| K_k |m + k>, zero where m + k > cutoff
-    amp = np.sqrt(_binomials(d) * lost * kept[:, None])
+    binomials, m, k, log_c = _binomials(d)
+    amp = np.sqrt(binomials * lost * kept[:, None])
+    if len(log_c):  # C past the float range: the product in the log domain, m, k >= 1
+        with np.errstate(divide="ignore"):  # log 0 = -inf at T = 0 or 1 gives amp 0
+            amp[m, k] = np.exp((log_c + k * np.log1p(-transmission) + m * np.log(transmission)) / 2)
     # out[m, ..., k] = amp[m, k] t[m + k], gathered from t padded with d zero levels
     out = np.concatenate((t, np.zeros_like(t)))[np.arange(d)[:, None] + np.arange(d)]
     out *= amp.reshape(amp.shape + (1,) * (t.ndim - 1))

@@ -75,6 +75,12 @@ def test_parse_t_min_1_allowed_for_one_point():
     assert cfg.params["t_min"] == 1.0 and cfg.params["points"] == 1
 
 
+def test_parse_s_max_0_allowed_for_one_point(tmp_path):
+    cfg = parse_args(["noise", "--s-max", "0", "--points", "1"])
+    assert cfg.params["s_max"] == 0.0 and cfg.params["points"] == 1
+    assert main(["noise", "--s-max", "0", "--points", "1", "-o", str(tmp_path / "n.csv")]) == 0
+
+
 def test_parse_missing_subcommand_errors():
     with pytest.raises(SystemExit) as exc:
         parse_args([])
@@ -276,7 +282,7 @@ def test_main_error_reports_nonzero(tmp_path, capsys):
     [
         (MemoryError("Unable to allocate 12.8 TiB"), "fconv: Unable to allocate 12.8 TiB"),
         (MemoryError(), "fconv: MemoryError"),
-        # math.comb in the loss channel leaves the float range at cutoff >= 1030
+        # a Python int converted to float past its range raises OverflowError
         (
             OverflowError("int too large to convert to float"),
             "fconv: int too large to convert to float",
@@ -402,6 +408,7 @@ def test_config_value_errors_name_the_rule(config, experiment, rule, tmp_path):
 
 
 T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
+S_MAX_RANGE = "--s-max must be > 0, or be 0 with --points 1, got"
 
 
 @pytest.mark.parametrize(
@@ -423,6 +430,10 @@ T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
         (["linearity", "--t-min", "1.5"], f"{T_MIN_RANGE} 1.5"),
         # unchecked, nine equal transmissions fail as "not strictly decreasing"
         (["linearity", "--t-min", "1"], f"{T_MIN_RANGE} 1.0"),
+        # unchecked, eleven zero strengths fail as "abscissa must be strictly monotone"
+        (["noise", "--s-max", "0"], f"{S_MAX_RANGE} 0.0"),
+        # unchecked, the runner's "strengths must be >= 0", which names no flag
+        (["noise", "--s-max", "-0.5"], f"{S_MAX_RANGE} -0.5"),
     ],
     ids=[
         "theta-eff",
@@ -435,6 +446,8 @@ T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
         "negative-t-min",
         "t-min-above-1",
         "t-min-1-with-points",
+        "zero-s-max",
+        "negative-s-max",
     ],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -10,8 +11,17 @@ import fconv.devices
 import fconv.experiments
 import fconv.gaussian
 from fconv import (
+    Amplifier,
+    Attenuator,
+    Circuit,
+    Converter,
     EnergyConservationViolation,
+    GaussianState,
     ModeRegistry,
+    PhaseShift,
+    coherent_gaussian,
+    gaussian_mean_photon,
+    gaussian_quadrature_variance,
     ScanResult,
     WdmSpec,
     fringe_visibility,
@@ -23,6 +33,8 @@ from fconv import (
     run_noise_comparison,
     run_wdm,
 )
+
+from fconv.gaussian import compile_gaussian
 
 from dense_reference import wdm_fock_cascade
 
@@ -90,6 +102,123 @@ def test_gaussian_fringe_builds_each_symplectic_once_per_scan(monkeypatch):
 def test_linearity_builds_one_unitary_per_transmission(unitary_builds):
     run_linearity([1.0, 0.3, 0.1, 0.03, 0.01], theta=0.1, alpha_pump=1.0)
     assert len(unitary_builds) == 5
+
+
+# ---------------------------------------------------------------------------
+# the sweep: every point of a scan handed to the backend at once
+
+_MODES = ("a", "b", "c")
+_pair = st.permutations(_MODES).map(lambda m: m[:2])
+_phase = st.floats(-np.pi, np.pi)
+_device = st.one_of(
+    st.builds(lambda m, t, p: Converter(*m, t, p), _pair, st.floats(0.0, 3.0), _phase),
+    st.builds(lambda m, r, p: Amplifier(*m, r, p), _pair, st.floats(0.0, 0.6), _phase),
+    st.builds(PhaseShift, st.sampled_from(_MODES), _phase),
+    st.builds(Attenuator, st.sampled_from(_MODES), st.floats(0.0, 1.0)),
+)
+_inputs = st.dictionaries(st.sampled_from(_MODES), st.complex_numbers(max_magnitude=2.0))
+_read = st.one_of(
+    st.tuples(st.just("photons"), st.sampled_from(_MODES)),
+    st.tuples(st.just("variance"), st.sampled_from(_MODES), _phase),
+)
+
+
+@st.composite
+def _scans(draw):
+    """(points, reads): per-point circuits whose every position holds either one
+    device object shared by every point or a device of its own per point."""
+    n = draw(st.integers(1, 6))
+    positions = draw(st.lists(st.one_of(_device, st.lists(_device, min_size=n, max_size=n)),
+                              max_size=4))
+    shared = draw(_inputs)
+    inputs = draw(st.lists(st.just(shared) | _inputs, min_size=n, max_size=n))
+    points = [(tuple(p[i] if isinstance(p, list) else p for p in positions), inputs[i])
+              for i in range(n)]
+    return points, draw(st.lists(_read, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scans())
+def test_gaussian_sweep_is_the_per_point_compiled_circuit(scan):
+    points, reads = scan
+    reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
+    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
+    want = np.array([
+        [read[kind](compile_gaussian(Circuit(reg, devs))(coherent_gaussian(reg, alphas)), *args)
+         for kind, *args in reads]
+        for devs, alphas in points
+    ])
+    _, sweep = fconv.experiments._backend("gaussian")
+    got = sweep(reg, points, reads)
+    assert got.shape == (len(points), len(reads))
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_gaussian_sweep_maps_each_shared_device_once(monkeypatch):
+    built = []
+    original = fconv.gaussian.device_symplectic
+
+    def counting(registry, dev):
+        built.append(dev)
+        return original(registry, dev)
+
+    monkeypatch.setattr(fconv.gaussian, "device_symplectic", counting)
+    reg = ModeRegistry([("a", 1.0, 1), ("b", 1.0, 1)])
+    shared, alphas = Converter("a", "b", 0.3), {"a": 1.0}
+    points = [((shared, Amplifier("a", "b", s)), alphas) for s in (0.1, 0.2, 0.3)]
+    fconv.experiments._backend("gaussian")[1](reg, points, [("photons", "b")])
+    assert built == [shared]  # the stacked amplifiers share one (U, V) -> S call
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the check
+@pytest.mark.parametrize(
+    "where, bad",
+    [("means", np.nan), ("means", np.inf), ("cov", np.nan), ("cov", np.inf), ("cov", 1e-9)],
+    ids=["nan-means", "inf-means", "nan-cov", "inf-cov", "asymmetric-cov"],
+)
+def test_stacked_gaussian_state_refuses_one_bad_point(where, bad):
+    reg = ModeRegistry([("a", 1.0, 1)])
+    means, cov = np.zeros((4, 2)), np.tile(np.eye(2) / 4, (4, 1, 1))
+    GaussianState(reg, means, cov)
+    GaussianState(reg, means, cov[0])  # a covariance shared by every point
+    if where == "means":
+        means[2, 1] = bad
+    else:
+        cov[2, 0, 1] += bad
+    with pytest.raises(ValueError, match="must be finite, cov symmetric"):
+        GaussianState(reg, means, cov)
+
+
+@pytest.mark.parametrize("means, cov", [((3, 2), (4, 2, 2)), ((2,), (3, 2, 2)), ((3, 2), (3, 2))])
+def test_gaussian_state_refuses_point_axes_that_differ(means, cov):
+    with pytest.raises(ValueError, match=re.escape("expected means (..., 2) and cov (2,2)")):
+        GaussianState(ModeRegistry([("a", 1.0, 1)]), np.zeros(means), np.zeros(cov))
+
+
+def test_fock_sweep_compiles_a_shared_circuit_and_prepares_a_shared_input_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(fconv.experiments, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(fconv.experiments, name, wrapper)
+
+    counting("compile_circuit")
+    counting("make_coherent")
+    reg = ModeRegistry([("a", 1.0, 10), ("b", 1.0, 10)])
+    devices, alphas = (Converter("a", "b", 0.4),), {"a": 0.5}
+    _, sweep = fconv.experiments._backend("fock")
+    out = sweep(reg, [(devices, alphas)] * 5, [("photons", "b"), ("variance", "a", 0.3)])
+    assert calls == ["compile_circuit", "make_coherent"] and out.shape == (5, 2)
+    # a new object is compiled or prepared again, even if it equals the last one
+    calls.clear()
+    sweep(reg, [(devices, alphas), (devices, dict(alphas)), ((devices[0],), alphas)], [])
+    assert calls == ["compile_circuit", "make_coherent", "make_coherent", "compile_circuit",
+                     "make_coherent"]
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,19 @@ def test_loss_equals_the_per_branch_loop_bitwise(transmission):
             assert np.array_equal(out, loop_loss_factor(state, axis, transmission))
 
 
+@pytest.mark.parametrize("transmission", [1.0, 0.97, 0.5, 0.3, 0.0])
+def test_loss_past_the_float_range_of_the_binomials_keeps_the_trace(transmission):
+    # C(m + k, k) leaves the float range at m + k >= 1030; |30> holds 1.2e-5 of its
+    # probability there, far above the 1e-10 trace tolerance
+    reg = ModeRegistry([("a", 1.0, 1100)])
+    for state in (make_vacuum(reg), make_coherent(reg, {"a": 30.0})):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = apply_loss(state, "a", transmission)
+        assert abs(np.vdot(out.factor, out.factor).real - 1.0) < 1e-12
+        n = mean_photon(state, "a")  # loss scales the mean photon number by T
+        assert abs(mean_photon(out, "a") - transmission * n) <= 1e-12 * n
+
+
 def test_loss_preserves_positivity():
     rng = np.random.default_rng(11)
     reg = ModeRegistry([("a", 1.0, 5)])

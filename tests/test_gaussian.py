@@ -27,7 +27,7 @@ from fconv import (
     moments_from_fock,
     quadrature_variance,
 )
-from fconv.gaussian import compile_gaussian, device_symplectic
+from fconv.gaussian import _moment_map, compile_gaussian, device_symplectic
 
 from dense_reference import reference_symplectic
 
@@ -230,6 +230,23 @@ def test_symplectic_from_heisenberg_is_bitwise_the_two_branch_formula(dev):
     # one formula over (U, V) for every device, against the passive-or-amplifier fork
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     assert np.array_equal(device_symplectic(reg, dev), reference_symplectic(reg, dev))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_device, min_size=1, max_size=8))
+def test_stacked_moment_map_is_the_per_device_maps_bitwise(devices):
+    # devices of one kind on the same modes are mapped in one call, the rest apart
+    reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
+    X, Y = _moment_map(reg, devices)
+    for i, dev in enumerate(devices):
+        Xi, Yi = _moment_map(reg, dev)
+        assert np.array_equal(X[i], Xi)
+        if Yi is None:  # a unitary adds no noise
+            assert Y is None or not Y[i].any()
+        else:
+            assert np.array_equal(Y[i], Yi)
+    if not any(isinstance(dev, Attenuator) for dev in devices):
+        assert Y is None
 
 
 @settings(max_examples=200, deadline=None)
