@@ -16,5 +16,5 @@ reg = ModeRegistry([("pump", 2.0, 1)])
 res = run_depletion_convergence([2.0, 3.0, 4.0, 5.0], np.pi / 2, make_fock(reg, [1]))
 
 print(f"{'alpha_s':>8} {'fidelity':>18} {'(1-F) * alpha^2':>16}")
-for a_s, (fid,) in res.rows:
+for a_s, (fid,) in zip(res.abscissa, res.values):
     print(f"{a_s:8.1f} {fid:18.12f} {(1 - fid) * a_s**2:16.4f}")

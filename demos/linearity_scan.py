@@ -20,5 +20,5 @@ y = clean.column("idler_mean_photons")
 slope = np.polyfit(np.log(transmissions), np.log(y), 1)[0]
 print(f"log-log slope (no floor): {slope:.12f}")
 print(f"{'T':>10} {'idler <n>':>14} {'with floor':>14}")
-for (T, (n,)), (_, (nf,)) in zip(clean.rows, noisy.rows):
+for T, (n,), (nf,) in zip(clean.abscissa, clean.values, noisy.values):
     print(f"{T:10.4f} {n:14.6e} {nf:14.6e}")

@@ -16,10 +16,8 @@ gauss = run_noise_comparison(ss, backend="gaussian")
 fock = run_noise_comparison(ss, backend="fock")
 
 print(f"{'s':>6} {'conv var':>10} {'amp var':>10} {'amp <n>':>10} {'sinh^2 s':>10}")
-for (s, (vc, va, na)) in gauss.rows:
+for s, (vc, va, na) in zip(gauss.abscissa, gauss.values):
     print(f"{s:6.2f} {vc:10.6f} {va:10.6f} {na:10.6f} {np.sinh(s) ** 2:10.6f}")
 
-dev = max(
-    np.max(np.abs(gauss.column(c) - fock.column(c))) for c in gauss.column_labels
-)
+dev = np.max(np.abs(gauss.values - fock.values))
 print(f"\nmax fock/gaussian disagreement: {dev:.2e}")

@@ -19,6 +19,6 @@ res, c = run_wdm(spec)
 
 print(f"residual pump amplitude: {c[0]:.3e}")
 print(f"{'channel':>8} {'idler freq':>11} {'probability':>12} {'amplitude':>24}")
-for (k, (f_i, p)), ck in zip(res.rows, c[1:]):
+for k, (f_i, p), ck in zip(res.abscissa, res.values, c[1:]):
     print(f"{int(k):8d} {f_i:11.3f} {p:12.6f} {ck:24.6f}")
 print(f"total probability: {np.sum(np.abs(c) ** 2):.12f}")

@@ -52,7 +52,7 @@ def write_csv(result: ScanResult, path: str) -> None:
     """
     lines = [f"# {k}={result.metadata[k]}" for k in sorted(result.metadata)]
     lines.append(",".join((result.abscissa_label,) + result.column_labels))
-    for a, vals in result.rows:
+    for a, vals in zip(result.abscissa, result.values):
         lines.append(",".join(repr(float(v)) for v in (a, *vals)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -274,9 +274,7 @@ def main(argv=None) -> int:
             res_g = run(cfg.params, "gaussian")
             write_csv(res_f, _suffixed(cfg.output_path, "fock"))
             write_csv(res_g, _suffixed(cfg.output_path, "gaussian"))
-            yf = np.array([vals for _, vals in res_f.rows])
-            yg = np.array([vals for _, vals in res_g.rows])
-            dev = float(np.max(np.abs(yf - yg)))
+            dev = float(np.max(np.abs(res_f.values - res_g.values)))
             if dev > BACKEND_AGREEMENT_TOL:
                 print(
                     f"fconv: backends disagree by {dev:.3e} (> {BACKEND_AGREEMENT_TOL})",

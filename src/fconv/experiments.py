@@ -1,9 +1,9 @@
 """Deterministic scenario runners: each one rebuilds a figure-level claim of
 coherent frequency down-conversion as a desk-scale numerical scan.
 
-All runners are pure functions of their parameters and return a ScanResult;
-nothing here touches global state, so scan points can be evaluated in
-parallel by callers if desired.
+All runners are deterministic and return a ScanResult.  Each hands its whole
+scan to its backend in one sweep (below), not point by point; the Fock path
+shares the process-wide caches `devices._walk_chains` and `fock._binomials`.
 
 Runners name their modes and photon budget; the backend's `space` sizes them.
 Fock cutoffs follow from conservation: converters, attenuators and the
@@ -20,6 +20,7 @@ leading point axis and moves the whole scan in one affine step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -51,33 +52,31 @@ from .gaussian import (
 from .registry import ModeRegistry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    name: str
+    """A scan as its sweep makes it: `abscissa` (P,) and `values` (P, C), one column
+    per label, both read-only float copies of what was passed in."""
     abscissa_label: str
     column_labels: tuple[str, ...]
-    rows: tuple[tuple[float, tuple[float, ...]], ...]
+    abscissa: np.ndarray
+    values: np.ndarray
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
-        rows = tuple((float(a), tuple(float(v) for v in vals)) for a, vals in self.rows)
-        for _, vals in rows:
-            if len(vals) != len(self.column_labels):
-                raise ValueError("row arity does not match column labels")
-        xs = [a for a, _ in rows]
-        diffs = np.diff(xs)
-        if len(xs) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        labels = tuple(self.column_labels)
+        xs, ys = np.array(self.abscissa, dtype=float), np.array(self.values, dtype=float)
+        if xs.ndim != 1 or ys.shape != (len(xs), len(labels)):
+            raise ValueError(f"values of shape {ys.shape} do not match abscissa of shape "
+                             f"{xs.shape} and {len(labels)} column labels")
+        if not (np.all(np.diff(xs) > 0) or np.all(np.diff(xs) < 0)):
             raise ValueError("abscissa must be strictly monotone")
-        object.__setattr__(self, "rows", rows)
+        xs.flags.writeable = ys.flags.writeable = False
+        object.__setattr__(self, "column_labels", labels)
+        object.__setattr__(self, "abscissa", xs)
+        object.__setattr__(self, "values", ys)
 
     def column(self, label: str) -> np.ndarray:
-        j = self.column_labels.index(label)
-        return np.array([vals[j] for _, vals in self.rows])
-
-    @property
-    def abscissa(self) -> np.ndarray:
-        return np.array([a for a, _ in self.rows])
+        return self.values[:, self.column_labels.index(label)]
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,19 @@ def _backend(name: str):
     raise ValueError(f"unknown backend {name!r}")
 
 
+def _param_text(value) -> str:
+    """A number as the repr of the Python number of its kind, so numpy scalars read alike."""
+    for kind, cast in ((Integral, int), (Real, float), (Complex, complex)):
+        if isinstance(value, kind):
+            return repr(cast(value))
+    return str(value)
+
+
 def _meta(backend: str, **params) -> dict[str, str]:
     meta = {"backend": backend}
     for k, v in params.items():
         if not isinstance(v, ModeRegistry):
-            meta[k] = repr(v) if isinstance(v, (int, float, complex)) else str(v)
+            meta[k] = _param_text(v)
         elif backend == "fock":  # a registry is written as its cutoffs; Gaussian runs size none
             meta[k] = ";".join(f"{m.label}={m.cutoff}" for m in v.modes)
     return meta
@@ -210,14 +217,11 @@ def run_linearity(
     registry = space([("pump", 2.0), ("idler", 1.0)], alpha_pump)
     conv, pump = Converter("pump", "idler", theta), {"pump": alpha_pump}
     points = [((Attenuator("pump", T), conv), pump) for T in ts]
-    idler = sweep(registry, points, [("photons", "idler")])[:, 0]
-    rows = [(T, (n + noise_floor,)) for T, n in zip(ts, idler)]
-
     return ScanResult(
-        name="linearity",
         abscissa_label="transmission",
         column_labels=("idler_mean_photons",),
-        rows=tuple(rows),
+        abscissa=ts,
+        values=sweep(registry, points, [("photons", "idler")]) + noise_floor,
         metadata=_meta(
             backend, cutoffs=registry, theta=theta, alpha_pump=alpha_pump, noise_floor=noise_floor
         ),
@@ -248,14 +252,11 @@ def run_fringe(
     registry = space([("pump", 2.0), ("idler", 1.0), ("ref", 1.0)], total)
     devices = (Converter("pump", "idler", theta, phi_s), Converter("idler", "ref", np.pi / 4))
     points = [(devices, {"pump": alpha_pump * np.exp(1j * p), "ref": alpha_ref}) for p in phis]
-    combined = sweep(registry, points, [("photons", "idler")])[:, 0]
-    rows = [(p, (n,)) for p, n in zip(phis, combined)]
-
     return ScanResult(
-        name="fringe",
         abscissa_label="pump_phase",
         column_labels=("combined_mean_photons",),
-        rows=tuple(rows),
+        abscissa=phis,
+        values=sweep(registry, points, [("photons", "idler")]),
         metadata=_meta(
             backend, cutoffs=registry, alpha_pump=alpha_pump, alpha_ref=alpha_ref, theta=theta,
             phi_s=phi_s,
@@ -270,8 +271,7 @@ def fringe_visibility(result: ScanResult) -> float:
     extrema are taken from a least-squares sinusoid fit rather than from the
     sampled points (which would undershoot between samples).
     """
-    phi = result.abscissa
-    y = result.column(result.column_labels[0])
+    phi, y = result.abscissa, result.values[:, 0]
     basis = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     mean, amp = coef[0], float(np.hypot(coef[1], coef[2]))
@@ -304,17 +304,16 @@ def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResu
     conv = sweep(reg_conv, [((Converter("pump", "idler", s),), vacuum) for s in ss], [idler])
     amp = sweep(reg_amp, [((Amplifier("signal", "idler", s),), vacuum) for s in ss],
                 [idler, ("photons", "idler")])
-    rows = [(s, (c, *a)) for s, c, a in zip(ss, conv[:, 0], amp)]
 
     return ScanResult(
-        name="noise_comparison",
         abscissa_label="strength",
         column_labels=(
             "converter_variance",
             "amplifier_variance",
             "amplifier_spontaneous_photons",
         ),
-        rows=tuple(rows),
+        abscissa=ss,
+        values=np.column_stack((conv, amp)),
         metadata=_meta(backend, cutoffs=reg_amp, converter_cutoffs=reg_conv),
     )
 
@@ -348,19 +347,19 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
         Converter("pump", "idler", theta),
     )
 
-    rows, signal_cutoffs = [], [coherent_required_cutoff(a) + c_p for a in alphas]
+    fidelities, signal_cutoffs = [], [coherent_required_cutoff(a) + c_p for a in alphas]
     for a_s, c_s in zip(alphas, signal_cutoffs):
         signal_idler = ModeRegistry([("signal", 1.0, c_s), ("idler", 1.0, c_p)])
         state = product_state(pump, make_coherent(signal_idler, {"signal": a_s}))
         coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)
         reduced = reduced_density(apply_device(state, coupler), ["pump", "idler"])
-        rows.append((a_s, (fidelity_pure_mixed(target, reduced),)))
+        fidelities.append(fidelity_pure_mixed(target, reduced))
 
     return ScanResult(
-        name="depletion_convergence",
         abscissa_label="alpha_s",
         column_labels=("fidelity_vs_converter",),
-        rows=tuple(rows),
+        abscissa=alphas,
+        values=np.transpose([fidelities]),
         metadata=_meta(
             "fock", cutoffs=target.registry, theta=theta, pump_cutoff=c_p,
             signal_cutoffs=";".join(map(str, signal_cutoffs)),
@@ -398,17 +397,15 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
             f"single-excitation amplitudes lost normalization: sum |c|^2 = {total}"
         )
 
-    rows = tuple((float(k), (f, float(np.abs(c[k]) ** 2))) for k, f in enumerate(freqs, start=1))
-    result = ScanResult(
-        name="wdm",
+    return ScanResult(
         abscissa_label="channel",
         column_labels=("idler_frequency", "probability"),
-        rows=rows,
+        abscissa=np.arange(1, len(freqs) + 1),
+        values=np.column_stack((freqs, np.abs(c[1:]) ** 2)),
         metadata=_meta(
             "fock",
             cutoffs=registry,
             pump_frequency=spec.pump_frequency,
             residual_pump_probability=float(np.abs(c[0]) ** 2),
         ),
-    )
-    return result, c
+    ), c

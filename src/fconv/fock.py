@@ -218,13 +218,17 @@ def make_coherent(registry: ModeRegistry, alphas: dict[str, complex]) -> PureSta
 
 
 def product_state(*states: PureState) -> PureState:
-    """Tensor product of pure states; registries concatenate in order."""
-    regs = []
-    amp = np.array([1.0 + 0j])
-    for s in states:
-        regs.extend((m.label, m.frequency, m.cutoff) for m in s.registry.modes)
-        amp = np.kron(amp, s.amplitudes)
-    return PureState(ModeRegistry(regs), amp)
+    """Tensor product of pure states; registries concatenate in order.  The box is
+    allocated first, so an oversized product fails before any factor is folded."""
+    registry = ModeRegistry([(m.label, m.frequency, m.cutoff)
+                             for s in states for m in s.registry.modes])
+    amp, size = _zeros(registry).reshape(-1), 1
+    amp[0] = 1.0
+    for s in states:  # folded in place: numpy copies the overlapping input before writing
+        n = s.amplitudes.size
+        np.multiply(amp[:size, None], s.amplitudes, out=amp[: size * n].reshape(size, n))
+        size *= n
+    return PureState(registry, amp)
 
 
 def to_density(state: PureState) -> FockDensityOp:

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -9,17 +10,17 @@ import numpy as np
 import pytest
 
 import fconv.cli
-from fconv import ScanResult
+from fconv import ScanResult, run_linearity
 from fconv.cli import EXPERIMENTS, FOCK_ONLY, main, parse_args, write_csv
 from fconv.devices import amplifier_required_cutoff
 
 
 def _result():
     return ScanResult(
-        name="demo",
         abscissa_label="x",
         column_labels=("y", "z"),
-        rows=((0.1, (1.0, 0.5)), (0.2, (2.0, 1.0 / 3.0))),
+        abscissa=[0.1, 0.2],
+        values=[[1.0, 0.5], [2.0, 1.0 / 3.0]],
         metadata={"beta": "2", "alpha": "1"},
     )
 
@@ -207,6 +208,21 @@ def test_main_both_backends_writes_two_files(tmp_path):
     assert np.max(np.abs(_read_csv(fock)[2] - _read_csv(gauss)[2])) < 1e-7
 
 
+@pytest.mark.parametrize("shift, code", [(2e-7, 2), (5e-8, 0)])
+def test_main_both_backends_disagreeing_exits_2(shift, code, monkeypatch, tmp_path, capsys):
+    # shifted by 2e-7 the Gaussian scan is past the 1e-7 tolerance: exit 2 and one line,
+    # both CSVs still written; by 5e-8 it agrees
+    def shifted(*args, backend, **kwargs):
+        res = run_linearity(*args, backend=backend, **kwargs)
+        return res if backend == "fock" else dataclasses.replace(res, values=res.values + shift)
+
+    monkeypatch.setattr(fconv.cli, "run_linearity", shifted)
+    assert main(["linearity", "--backend", "both", "-o", str(tmp_path / "lin.csv")]) == code
+    line = "fconv: backends disagree by 2.000e-07 (> 1e-07)"
+    assert capsys.readouterr().err.splitlines() == ([line] if code else [])
+    assert (tmp_path / "lin.fock.csv").exists() and (tmp_path / "lin.gaussian.csv").exists()
+
+
 def test_main_noise_csv_content(tmp_path):
     # a Fock run records the cutoffs it sized; a Gaussian run sizes none
     metas = {}
@@ -308,6 +324,14 @@ def test_oversized_cutoff_is_one_line_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("fconv: ") and str(cutoff) in err[0]
     assert not (tmp_path / "n.csv").exists()
+
+
+def test_oversized_product_state_is_one_line_naming_it(tmp_path, capsys):
+    # the pump and idler of |3e6> each fit; their (3e6 + 1)^2 product box does not
+    assert main(["depletion", "--pump-photon", "3000000", "-o", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fconv: ") and "(3000000, 3000000)" in err[0]
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("experiment", ["linearity", "fringe"])

@@ -40,12 +40,25 @@ from dense_reference import wdm_fock_cascade
 
 
 def test_scanresult_checks_shape_and_monotonicity():
-    with pytest.raises(ValueError):
-        ScanResult("x", "t", ("a",), (((0.0), (1.0, 2.0)),))
-    with pytest.raises(ValueError):
-        ScanResult("x", "t", ("a",), ((0.0, (1.0,)), (0.0, (2.0,))))
-    r = ScanResult("x", "t", ("a",), ((0.0, (1.0,)), (1.0, (2.0,))))
+    with pytest.raises(ValueError, match=r"values of shape \(1, 2\) do not match"):
+        ScanResult("t", ("a",), [0.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"values of shape \(2,\) do not match"):
+        ScanResult("t", ("a",), [0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="strictly monotone"):
+        ScanResult("t", ("a",), [0.0, 0.0], [[1.0], [2.0]])
+    r = ScanResult("t", ("a",), [0.0, 1.0], [[1.0], [2.0]])
     assert np.allclose(r.column("a"), [1.0, 2.0])
+
+
+def test_scanresult_holds_read_only_copies():
+    xs, ys = np.array([1.0, 0.5]), np.array([[1.0, 2.0], [3.0, 4.0]])
+    r = ScanResult("t", ("a", "b"), xs, ys)
+    xs[0], ys[0, 0] = 9.0, 9.0  # the caller's arrays stay writable and are not shared
+    assert r.abscissa.tolist() == [1.0, 0.5] and r.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert r.column("b").tolist() == [2.0, 4.0]
+    for held in (r.abscissa, r.values, r.column("a")):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +271,17 @@ def test_linearity_backend_agreement():
     assert np.max(np.abs(rf.column("idler_mean_photons") - rg.column("idler_mean_photons"))) < 1e-7
 
 
+def test_metadata_writes_numpy_scalars_as_the_python_numbers():
+    # a numpy scalar is recorded as the Python number of its kind and value
+    ts = np.geomspace(1, 0.1, 3)
+    got = run_linearity(ts, np.arcsin(0.1), np.float64(1.0), np.float32(0.25)).metadata
+    want = run_linearity(ts, float(np.arcsin(0.1)), 1.0, 0.25).metadata
+    assert got == want and got["theta"] == repr(float(np.arcsin(0.1)))
+    got = run_linearity(ts, 0.1, np.complex128(1 + 0.5j), np.int64(0), backend="gaussian")
+    want = run_linearity(ts, 0.1, 1 + 0.5j, 0, backend="gaussian")
+    assert got.metadata == want.metadata and got.metadata["noise_floor"] == "0"
+
+
 def test_linearity_input_validation():
     with pytest.raises(ValueError):
         run_linearity([0.5, 0.9], 0.1, 1.0)  # not decreasing
@@ -326,7 +350,7 @@ def test_fringe_backend_agreement():
 
 def test_noise_zero_strength_row():
     res = run_noise_comparison([0.0, 0.5])
-    assert np.allclose(res.rows[0][1], (0.25, 0.25, 0.0), atol=1e-12)
+    assert np.allclose(res.values[0], (0.25, 0.25, 0.0), atol=1e-12)
 
 
 @pytest.mark.parametrize("backend", ["gaussian", "fock"])
@@ -358,7 +382,7 @@ def test_noise_metadata_records_both_registries():
     assert not {"cutoffs", "converter_cutoffs"} & set(res.metadata)
     res = run_noise_comparison([0.0], backend="fock")  # no squeezing: no floor either
     assert res.metadata["cutoffs"] == "signal=1;idler=1"
-    assert res.rows[0][1] == (0.25, 0.25, 0.0)
+    assert res.values[0].tolist() == [0.25, 0.25, 0.0]
 
 
 def test_gaussian_noise_past_tanh_rounding_records_no_cutoffs():

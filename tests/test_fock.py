@@ -374,6 +374,24 @@ def test_partial_trace_keep_all():
     assert np.max(np.abs(same.matrix - rho.matrix)) < 1e-12
 
 
+def test_product_state_is_the_kron_fold_bitwise():
+    # the box is allocated first and the factors folded into it; every amplitude,
+    # signed zeros too, is the one np.kron's fold gives
+    rng = np.random.default_rng(11)
+    states = []
+    for label, c in (("a", 3), ("b", 1), ("c", 4), ("d", 2)):
+        amp = rng.normal(size=c + 1) + 1j * rng.normal(size=c + 1)
+        amp[-1] = complex(-0.0, 0.0)
+        states.append(PureState(ModeRegistry([(label, 1.0, c)]), amp / np.linalg.norm(amp)))
+    want = np.array([1.0 + 0j])
+    for s in states:
+        want = np.kron(want, s.amplitudes)
+    got = product_state(*states)
+    assert got.registry.cutoffs == (3, 1, 4, 2)
+    assert got.amplitudes.tobytes() == want.tobytes()
+    assert product_state().amplitudes.tobytes() == np.array([1.0 + 0j]).tobytes()
+
+
 def test_partial_trace_product_state():
     regA = ModeRegistry([("a", 1.0, 12)])
     regB = ModeRegistry([("b", 1.0, 12)])
