@@ -42,6 +42,7 @@ from .fock import (
     make_fock,
     make_vacuum,
     mean_photon,
+    moments_from_fock,
     product_state,
     quadrature_variance,
     reduced_density,
@@ -53,7 +54,6 @@ from .gaussian import (
     gaussian_apply,
     gaussian_mean_photon,
     gaussian_quadrature_variance,
-    moments_from_fock,
 )
 from .registry import ModeRegistry
 

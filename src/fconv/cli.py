@@ -52,8 +52,8 @@ def write_csv(result: ScanResult, path: str) -> None:
     """
     lines = [f"# {k}={result.metadata[k]}" for k in sorted(result.metadata)]
     lines.append(",".join((result.abscissa_label,) + result.column_labels))
-    for a, vals in zip(result.abscissa, result.values):
-        lines.append(",".join(repr(float(v)) for v in (a, *vals)))
+    for row in np.column_stack((result.abscissa, result.values)).tolist():
+        lines.append(",".join(map(repr, row)))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

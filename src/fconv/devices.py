@@ -32,6 +32,11 @@ of its ladder row (no Pade approximant), stored per group of the cutoff box
 for every coupling.  The unitaries are unitary to machine precision whatever
 the truncation, whose error shows up only as state leakage, which the
 constructors guard against.
+
+`fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`:
+the space cuts every mode by the photon number the circuit conserves, and the
+sweep runs a scan's points in turn, sharing the process-wide caches
+`_walk_chains` and `fock._binomials`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,16 @@ from typing import Union
 import numpy as np
 
 from .errors import CutoffTooSmall
-from .fock import State, annihilation_matrix, apply_loss, apply_matrix
+from .fock import (
+    State,
+    annihilation_matrix,
+    apply_loss,
+    apply_matrix,
+    coherent_required_cutoff,
+    make_coherent,
+    mean_photon,
+    quadrature_variance,
+)
 from .registry import ModeRegistry
 
 
@@ -347,3 +361,39 @@ def compile_circuit(circuit: Circuit):
 def apply_device(state: State, dev: Device) -> State:
     """Apply one device to a Fock-backend state."""
     return compile_circuit(Circuit(state.registry, (dev,)))(state)
+
+
+# ---------------------------------------------------------------------------
+# the Fock backend's space and sweep (see `experiments._backend`)
+
+
+def fock_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
+    """Every mode cut at the coherent tail of the total amplitude or, given a
+    squeeze, at its vacuum pair tail, to 1e-10 since the Fock variance reads it.
+
+    Converters, attenuators and the trilinear coupler never add photons, so the
+    tail of sqrt(sum |alpha|^2) bounds every mode they reach; amplifiers keep
+    their pair tail."""
+    c = (coherent_required_cutoff(alpha) if squeeze is None
+         else amplifier_required_cutoff(squeeze, tail_tol=1e-10))
+    return ModeRegistry([(label, f, c) for label, f in modes])
+
+
+def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
+    """The points in turn on the Fock backend.  A devices tuple or input dict that
+    is the same object as the previous point's is compiled or prepared once, and a
+    circuit's blocks are freed before the next circuit builds its own."""
+    read = {"photons": mean_photon, "variance": quadrature_variance}
+
+    def take(state):  # the output state is dropped once its reads are taken
+        return [read[kind](state, *args) for kind, *args in reads]
+
+    out = np.empty((len(points), len(reads)))
+    devices = alphas = None
+    for i, (devs, inputs) in enumerate(points):
+        if devs is not devices:
+            devices, run = devs, compile_circuit(Circuit(registry, devs))
+        if inputs is not alphas:
+            alphas, state = inputs, make_coherent(registry, inputs)
+        out[i] = take(run(state))
+    return out

@@ -1,20 +1,10 @@
 """Deterministic scenario runners: each one rebuilds a figure-level claim of
 coherent frequency down-conversion as a desk-scale numerical scan.
 
-All runners are deterministic and return a ScanResult.  Each hands its whole
-scan to its backend in one sweep (below), not point by point; the Fock path
-shares the process-wide caches `devices._walk_chains` and `fock._binomials`.
-
-Runners name their modes and photon budget; the backend's `space` sizes them.
-Fock cutoffs follow from conservation: converters, attenuators and the
-trilinear coupler never add photons, so each mode gets the coherent tail of
-sqrt(sum |alpha|^2) plus any Fock photons; amplifiers keep their pair tail.
-The Gaussian backend sizes no Fock box, and its CSVs record no cutoffs.
-
-A runner hands its backend's `sweep` every point of its scan at once, each as
-a devices tuple and an input {label: alpha}, with the reads to take.  The
-Fock sweep runs the points in turn; the Gaussian sweep stacks them on a
-leading point axis and moves the whole scan in one affine step.
+All runners are deterministic and return a ScanResult.  Each names its modes
+and photon budget, which its backend's `space` sizes, and hands the backend's
+`sweep` every point of its scan at once, not point by point (see `_backend`).
+Gaussian CSVs record no cutoffs.
 """
 
 from __future__ import annotations
@@ -27,12 +17,11 @@ import numpy as np
 from .devices import (
     Amplifier,
     Attenuator,
-    Circuit,
     Converter,
     TrilinearCoupler,
-    amplifier_required_cutoff,
     apply_device,
-    compile_circuit,
+    fock_space,
+    fock_sweep,
 )
 from .errors import EnergyConservationViolation
 from .fock import (
@@ -41,14 +30,10 @@ from .fock import (
     fidelity_pure_mixed,
     make_coherent,
     make_vacuum,
-    mean_photon,
     product_state,
-    quadrature_variance,
     reduced_density,
 )
-from .gaussian import (
-    _fold, _step, coherent_gaussian, gaussian_mean_photon, gaussian_quadrature_variance
-)
+from .gaussian import gaussian_space, gaussian_sweep
 from .registry import ModeRegistry
 
 
@@ -101,59 +86,6 @@ class WdmSpec:
         return tuple(self.pump_frequency - f for f, _, _ in self.channels)
 
 
-def _fock_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
-    """Every mode cut at the coherent tail of the total amplitude or, given a
-    squeeze, at its vacuum pair tail, to 1e-10 since the Fock variance reads it."""
-    c = (coherent_required_cutoff(alpha) if squeeze is None
-         else amplifier_required_cutoff(squeeze, tail_tol=1e-10))
-    return ModeRegistry([(label, f, c) for label, f in modes])
-
-
-def _gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
-    """Moments need no Fock box: every cutoff is 1, and no code reads it."""
-    return ModeRegistry([(label, f, 1) for label, f in modes])
-
-
-def _fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
-    """The points in turn on the Fock backend.  A devices tuple or input dict that
-    is the same object as the previous point's is compiled or prepared once, and a
-    circuit's blocks are freed before the next circuit builds its own."""
-    read = {"photons": mean_photon, "variance": quadrature_variance}
-
-    def take(state):  # the output state is dropped once its reads are taken
-        return [read[kind](state, *args) for kind, *args in reads]
-
-    out = np.empty((len(points), len(reads)))
-    devices = alphas = None
-    for i, (devs, inputs) in enumerate(points):
-        if devs is not devices:
-            devices, run = devs, compile_circuit(Circuit(registry, devs))
-        if inputs is not alphas:
-            alphas, state = inputs, make_coherent(registry, inputs)
-        out[i] = take(run(state))
-    return out
-
-
-def _gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
-    """Every point at once on the Gaussian backend.  The inputs stack into one means
-    array; each device position is one moment map, shared if every point holds the
-    same device object and stacked over the points otherwise; one affine step moves
-    the stack, and each read is one call over it."""
-    out = np.empty((len(points), len(reads)))
-    if not points:
-        return out
-    devices, inputs = zip(*points)
-    positions = [devs[0] if all(d is devs[0] for d in devs) else list(devs)
-                 for devs in zip(*devices, strict=True)]  # every point holds one per position
-    labels = dict.fromkeys(label for alphas in inputs for label in alphas)
-    amplitudes = {label: np.array([a.get(label, 0.0) for a in inputs]) for label in labels}
-    state = _step(coherent_gaussian(registry, amplitudes), _fold(registry, positions))
-    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
-    for j, (kind, *args) in enumerate(reads):
-        out[:, j] = read[kind](state, *args)
-    return out
-
-
 def _backend(name: str):
     """(space, sweep) of one backend: space(modes, alpha=0.0, squeeze=None) is the
     registry of (label, frequency) pairs for a photon budget, and
@@ -161,14 +93,15 @@ def _backend(name: str):
     (devices, {label: alpha}) with a coherent input, vacuum elsewhere, and each read
     ("photons", mode) or ("variance", mode, phase).
 
-    This is the one place that names a backend.  The sweeps read the functions
-    they call from the module bindings on each call, not from a table, so a
-    wrapper on one of those names (such as the benchmark tracer) sees it.
+    This is the one place that names a backend; each backend module owns its
+    space and sweep.  The sweeps read the functions they call from their module's
+    bindings on each call, not from a table, so a wrapper on one of those names
+    (such as the benchmark tracer) sees it.
     """
     if name == "fock":
-        return _fock_space, _fock_sweep
+        return fock_space, fock_sweep
     if name == "gaussian":
-        return _gaussian_space, _gaussian_sweep
+        return gaussian_space, gaussian_sweep
     raise ValueError(f"unknown backend {name!r}")
 
 
@@ -269,11 +202,16 @@ def fringe_visibility(result: ScanResult) -> float:
 
     The model output is an exact sinusoid in the scanned phase, so the
     extrema are taken from a least-squares sinusoid fit rather than from the
-    sampled points (which would undershoot between samples).
+    sampled points (which would undershoot between samples).  A scan whose
+    phases do not fix the three coefficients (fewer than three distinct
+    phases mod 2 pi) is refused.
     """
     phi, y = result.abscissa, result.values[:, 0]
     basis = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
+    if rank < 3:
+        raise ValueError(f"fringe visibility needs three distinct phases mod 2 pi: "
+                         f"{len(phi)} points fix {rank} of the fit's 3 coefficients")
     mean, amp = coef[0], float(np.hypot(coef[1], coef[2]))
     if mean + amp == 0:
         return 0.0

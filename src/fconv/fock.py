@@ -386,6 +386,23 @@ def quadrature_variance(state: State, mode: str, phase: float) -> float:
     return float(ex2 - ex**2)
 
 
+def moments_from_fock(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Means vector and symmetrized covariance matrix of any Fock-backend state.
+
+    Returned in the Gaussian backend's (x_1, p_1, ...) ordering, x = X_0 and
+    p = X_{pi/2}, so the two backends can be compared entry by entry.  Each
+    quadrature acts on the factor W by ladder shifts along its mode's axis.
+    """
+    # rho = W W^dag: every moment is a sum over the factor's columns; row j of
+    # XW is X_j W for each quadrature X_j = x_m, p_m, in the backend's ordering
+    M = state.registry.num_modes
+    W = _factor_tensor(state)
+    XW = np.stack([_quadrature(W, m, ph).reshape(-1) for m in range(M) for ph in (0.0, np.pi / 2)])
+    means = (XW @ W.reshape(-1).conj()).real
+    second = (XW.conj() @ XW.T).real  # <X_j W, X_k W>
+    return means, (second + second.T) / 2 - np.outer(means, means)
+
+
 def fidelity(a: PureState, b: PureState) -> float:
     if a.registry.dims != b.registry.dims:
         raise DimensionMismatch(

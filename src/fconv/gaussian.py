@@ -12,7 +12,8 @@ biggest source of silent bugs in Gaussian codes, so do not reorder.
 States, moment maps and observables may carry leading point axes: a scan's
 points stack into one state, each device position into one map, shared by
 every point or stacked over them, and one affine step moves the whole stack.
-A single state or circuit is the case with no point axis.
+A single state or device is the case with no point axis.  `gaussian_sweep`
+runs a whole scan this way, and `gaussian_space` sizes no Fock box.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Amplifier, Attenuator, Circuit, Converter, Device, PhaseShift
+from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift
 from .errors import NonGaussianDevice
-from .fock import State, _factor_tensor, _quadrature
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25
@@ -100,11 +100,6 @@ def _symplectic(registry: ModeRegistry, modes, U: np.ndarray, V: np.ndarray) -> 
     return S
 
 
-def device_symplectic(registry: ModeRegistry, dev: Device) -> np.ndarray:
-    """2M x 2M quadrature transfer matrix of one unitary Gaussian device."""
-    return _symplectic(registry, dev.modes, *_heisenberg(dev))
-
-
 def _loss_map(registry: ModeRegistry, mode: str, T) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) of pure loss on ``mode`` at transmission T, a number or an array over points."""
     m, T = registry.index(mode), np.asarray(T)
@@ -125,7 +120,7 @@ def _moment_map(registry: ModeRegistry, devs):
     if not isinstance(devs, list):
         if isinstance(devs, Attenuator):
             return _loss_map(registry, devs.mode, devs.transmission)
-        return device_symplectic(registry, devs), None
+        return _symplectic(registry, devs.modes, *_heisenberg(devs)), None
     kinds = {}
     for i, dev in enumerate(devs):
         kinds.setdefault((type(dev), dev.modes), []).append(i)
@@ -165,17 +160,9 @@ def _step(state: GaussianState, channel) -> GaussianState:
     return GaussianState(state.registry, means[..., 0], cov)
 
 
-def compile_gaussian(circuit: Circuit):
-    """The circuit's devices as one pure function GaussianState -> GaussianState,
-    folded here, at compile time, into one moment map (X, Y): a non-Gaussian
-    device raises NonGaussianDevice here, and every run is one affine step."""
-    channel = _fold(circuit.registry, circuit.devices)
-    return lambda state: _step(state, channel)
-
-
 def gaussian_apply(state: GaussianState, dev: Device) -> GaussianState:
     """Moment-level action of one device: symplectic map, or the loss CP map."""
-    return compile_gaussian(Circuit(state.registry, (dev,)))(state)
+    return _step(state, _moment_map(state.registry, dev))
 
 
 def gaussian_mean_photon(state: GaussianState, mode: str):
@@ -197,22 +184,29 @@ def gaussian_quadrature_variance(state: GaussianState, mode: str, phase: float):
 
 
 # ---------------------------------------------------------------------------
-# cross-backend bridge: first and second quadrature moments of a Fock state,
-# with the Fock backend's own ladder-shift quadratures: x = X_0, p = X_{pi/2}
+# the Gaussian backend's space and sweep (see `experiments._backend`)
 
 
-def moments_from_fock(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Means vector and symmetrized covariance matrix of any Fock-backend state.
+def gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
+    """Moments need no Fock box: every cutoff is 1, and no code reads it."""
+    return ModeRegistry([(label, f, 1) for label, f in modes])
 
-    Returned in the Gaussian backend's (x_1, p_1, ...) ordering, so the two
-    backends can be compared entry by entry.  Each quadrature acts on the
-    factor W by ladder shifts along its mode's axis.
-    """
-    # rho = W W^dag: every moment is a sum over the factor's columns; row j of
-    # XW is X_j W for each quadrature X_j = x_m, p_m, in the backend's ordering
-    M = state.registry.num_modes
-    W = _factor_tensor(state)
-    XW = np.stack([_quadrature(W, m, ph).reshape(-1) for m in range(M) for ph in (0.0, np.pi / 2)])
-    means = (XW @ W.reshape(-1).conj()).real
-    second = (XW.conj() @ XW.T).real  # <X_j W, X_k W>
-    return means, (second + second.T) / 2 - np.outer(means, means)
+
+def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
+    """Every point at once on the Gaussian backend.  The inputs stack into one means
+    array; each device position is one moment map, shared if every point holds the
+    same device object and stacked over the points otherwise; one affine step moves
+    the stack, and each read is one call over it."""
+    out = np.empty((len(points), len(reads)))
+    if not points:
+        return out
+    devices, inputs = zip(*points)
+    positions = [devs[0] if all(d is devs[0] for d in devs) else list(devs)
+                 for devs in zip(*devices, strict=True)]  # every point holds one per position
+    labels = dict.fromkeys(label for alphas in inputs for label in alphas)
+    amplitudes = {label: np.array([a.get(label, 0.0) for a in inputs]) for label in labels}
+    state = _step(coherent_gaussian(registry, amplitudes), _fold(registry, positions))
+    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
+    for j, (kind, *args) in enumerate(reads):
+        out[:, j] = read[kind](state, *args)
+    return out

@@ -39,28 +39,11 @@ class ModeRegistry:
                 raise ValueError(f"mode {m.label!r}: frequency must be > 0, got {m.frequency}")
         self.modes = tuple(parsed)
         self._index = {m.label: i for i, m in enumerate(self.modes)}
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
-
-    @property
-    def cutoffs(self) -> tuple[int, ...]:
-        return tuple(m.cutoff for m in self.modes)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Per-mode Hilbert dimensions (cutoff + 1)."""
-        return tuple(m.cutoff + 1 for m in self.modes)
-
-    @property
-    def dim(self) -> int:
-        """Total Hilbert dimension = product of per-mode dimensions."""
-        return math.prod(self.dims)
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.modes)
+        self.labels = tuple(labels)
+        self.cutoffs = tuple(m.cutoff for m in parsed)
+        self.dims = tuple(c + 1 for c in self.cutoffs)  # per-mode Hilbert dimensions
+        self.dim = math.prod(self.dims)  # total Hilbert dimension
+        self.num_modes = len(parsed)
 
     def index(self, label: str) -> int:
         try:

@@ -11,7 +11,7 @@ device; `reference_block` forms one block with its own phase, as a per-block for
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
 `dense_quadrature_variance` and `dense_moments` multiply by the (d, d) matrix.
-`fconv.gaussian.device_symplectic` forms every Gaussian device's quadrature map
+`fconv.gaussian._symplectic` forms every Gaussian device's quadrature map
 from its ``heisenberg`` (U, V); `reference_symplectic` writes the passive devices
 from their mode matrix and the amplifier by hand, 2 x 2 block by block.
 """

@@ -41,7 +41,7 @@ from fconv.devices import (
 )
 from fconv.devices import expm as chain_expm
 from fconv.fock import annihilation_matrix, apply_matrix, coherent_required_cutoff, to_density
-from fconv.gaussian import compile_gaussian
+from fconv.gaussian import gaussian_sweep
 
 from dense_reference import dense_unitary, reference_block
 
@@ -502,11 +502,10 @@ def test_phase_shift_on_coherent():
 
 
 def test_gaussian_compile_rejects_trilinear():
-    # the Gaussian compiler folds its moment map at compile time, so it rejects the device there
+    # the Gaussian sweep folds its moment map before it moves any state, so it rejects the device there
     reg = ModeRegistry([("p", 2.0, 2), ("s", 1.0, 2), ("i", 1.0, 2)])
-    circ = Circuit(reg, [TrilinearCoupler("p", "s", "i", 0.3)])
     with pytest.raises(NonGaussianDevice):
-        compile_gaussian(circ)
+        gaussian_sweep(reg, [((TrilinearCoupler("p", "s", "i", 0.3),), {})], [])
 
 
 @pytest.mark.parametrize(

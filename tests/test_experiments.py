@@ -13,7 +13,6 @@ import fconv.gaussian
 from fconv import (
     Amplifier,
     Attenuator,
-    Circuit,
     Converter,
     EnergyConservationViolation,
     GaussianState,
@@ -34,7 +33,7 @@ from fconv import (
     run_wdm,
 )
 
-from fconv.gaussian import compile_gaussian
+from fconv.gaussian import _fold, _step
 
 from dense_reference import wdm_fock_cascade
 
@@ -100,13 +99,13 @@ def test_fringe_builds_each_unitary_once_per_scan(unitary_builds):
 
 def test_gaussian_fringe_builds_each_symplectic_once_per_scan(monkeypatch):
     built = []
-    original = fconv.gaussian.device_symplectic
+    original = fconv.gaussian._symplectic
 
-    def counting(registry, dev):
-        built.append(dev)
-        return original(registry, dev)
+    def counting(registry, modes, U, V):
+        built.append(modes)
+        return original(registry, modes, U, V)
 
-    monkeypatch.setattr(fconv.gaussian, "device_symplectic", counting)
+    monkeypatch.setattr(fconv.gaussian, "_symplectic", counting)
     phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     run_fringe(phis, 0.8, 0.3, 0.7, 0.2, backend="gaussian")
     assert len(built) == 2
@@ -157,7 +156,7 @@ def test_gaussian_sweep_is_the_per_point_compiled_circuit(scan):
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
     want = np.array([
-        [read[kind](compile_gaussian(Circuit(reg, devs))(coherent_gaussian(reg, alphas)), *args)
+        [read[kind](_step(coherent_gaussian(reg, alphas), _fold(reg, devs)), *args)
          for kind, *args in reads]
         for devs, alphas in points
     ])
@@ -169,18 +168,19 @@ def test_gaussian_sweep_is_the_per_point_compiled_circuit(scan):
 
 def test_gaussian_sweep_maps_each_shared_device_once(monkeypatch):
     built = []
-    original = fconv.gaussian.device_symplectic
+    original = fconv.gaussian._symplectic
 
-    def counting(registry, dev):
-        built.append(dev)
-        return original(registry, dev)
+    def counting(registry, modes, U, V):
+        built.append(U.shape)
+        return original(registry, modes, U, V)
 
-    monkeypatch.setattr(fconv.gaussian, "device_symplectic", counting)
+    monkeypatch.setattr(fconv.gaussian, "_symplectic", counting)
     reg = ModeRegistry([("a", 1.0, 1), ("b", 1.0, 1)])
     shared, alphas = Converter("a", "b", 0.3), {"a": 1.0}
     points = [((shared, Amplifier("a", "b", s)), alphas) for s in (0.1, 0.2, 0.3)]
     fconv.experiments._backend("gaussian")[1](reg, points, [("photons", "b")])
-    assert built == [shared]  # the stacked amplifiers share one (U, V) -> S call
+    # one call for the shared converter, one for the three amplifiers' stacked (U, V)
+    assert built == [(2, 2), (3, 2, 2)]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the check
@@ -212,13 +212,13 @@ def test_fock_sweep_compiles_a_shared_circuit_and_prepares_a_shared_input_once(m
     calls = []
 
     def counting(name):
-        original = getattr(fconv.experiments, name)
+        original = getattr(fconv.devices, name)
 
         def wrapper(*args):
             calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(fconv.experiments, name, wrapper)
+        monkeypatch.setattr(fconv.devices, name, wrapper)
 
     counting("compile_circuit")
     counting("make_coherent")
@@ -329,6 +329,20 @@ def test_fringe_visibility_closed_form_and_phase():
     assert abs(((offset - (phi_s - np.pi)) + np.pi) % (2 * np.pi) - np.pi) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "phis, count",
+    [([0.0], 1), ([0.0, 1.0], 2), ([0.5, 0.5 + 2 * np.pi, 0.5 + 4 * np.pi], 3)],
+    ids=["one-point", "two-points", "three-equal-mod-2pi"],
+)
+@pytest.mark.parametrize("backend", ["fock", "gaussian"])
+def test_fringe_visibility_refuses_an_underdetermined_fit(phis, count, backend):
+    # three coefficients need three distinct phases; two points once read 1.974, past 1
+    res = run_fringe(phis, 1.0, 0.25, np.pi / 6, backend=backend)
+    with pytest.raises(ValueError, match=f"three distinct phases mod 2 pi: {count} points"):
+        fringe_visibility(res)
+    assert abs(fringe_visibility(run_fringe([0.0, 1.0, 2.0], 1.0, 0.25, np.pi / 6)) - 0.8) < 1e-8
+
+
 def test_fringe_periodicity():
     res_a = run_fringe([0.4], 1.0, 0.25, np.pi / 6)
     res_b = run_fringe([0.4 + 2 * np.pi], 1.0, 0.25, np.pi / 6)
@@ -397,8 +411,8 @@ def test_gaussian_runs_call_no_fock_cutoff_rule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Fock cutoff rule was called")
 
-    monkeypatch.setattr(fconv.experiments, "coherent_required_cutoff", refuse)
-    monkeypatch.setattr(fconv.experiments, "amplifier_required_cutoff", refuse)
+    monkeypatch.setattr(fconv.devices, "coherent_required_cutoff", refuse)
+    monkeypatch.setattr(fconv.devices, "amplifier_required_cutoff", refuse)
     runs = [
         lambda backend: run_linearity([1.0, 0.5], 0.1, 2.0, backend=backend),
         lambda backend: run_fringe([0.0, 1.0], 2.0, 0.5, 0.3, backend=backend),
@@ -515,8 +529,8 @@ def test_fringe_auto_cutoff_is_converged(alpha_pump, alpha_ref, theta, phi_s):
     phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
     auto = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s)
     c = int(auto.metadata["cutoffs"].split(";")[0].split("=")[1])
-    rule = fconv.experiments.coherent_required_cutoff
-    with mock.patch.object(fconv.experiments, "coherent_required_cutoff", lambda a: rule(a) + 3):
+    rule = fconv.devices.coherent_required_cutoff
+    with mock.patch.object(fconv.devices, "coherent_required_cutoff", lambda a: rule(a) + 3):
         wider = run_fringe(phis, alpha_pump, alpha_ref, theta, phi_s)
     assert wider.metadata["cutoffs"] == f"pump={c + 3};idler={c + 3};ref={c + 3}"
     diff = auto.column("combined_mean_photons") - wider.column("combined_mean_photons")
