@@ -5,7 +5,6 @@ three-wave-mixing devices, and scenario runners."""
 from .devices import (
     Amplifier,
     Attenuator,
-    Circuit,
     Converter,
     PhaseShift,
     TrilinearCoupler,

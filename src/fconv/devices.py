@@ -2,7 +2,8 @@
 
 Three interactions drive everything.  Each Gaussian device (the first two, and
 PhaseShift, a -> e^{i phi} a) states its Heisenberg action a -> U a + V a^dag
-over its ``modes`` once, as the property ``heisenberg`` = (U, V):
+over its ``modes`` once, as a formula (U, V) of its fields that also takes arrays
+over the points of a sweep; its property ``heisenberg`` applies it to its own fields:
 
   * Converter -- pump/idler exchange with a strong classical signal field
     (theta = coupling * interaction time, phi_s the drive phase):
@@ -26,12 +27,13 @@ coupler.  The conserved-charge sectors are therefore the chains of Fock
 states along that step inside the cutoff box; `device_unitary` groups them
 by length in place of a dense unitary.  A run that first reaches a group
 exponentiates each of its distinct tridiagonal blocks once (an amplifier's
-mirror chains n_s - n_i = +-d share one; zero strength has none): `expm`
-assembles it from the device's phase column, formed once, and the real `eigh`
-of its ladder row (no Pade approximant), stored per group of the cutoff box
-for every coupling.  The unitaries are unitary to machine precision whatever
-the truncation, whose error shows up only as state leakage, which the
-constructors guard against.
+mirror chains n_s - n_i = +-d share one; zero strength has none) from the real
+`eigh` of its ladder row (no Pade approximant).  The cutoff box stores each
+group's spectra stacked, for every coupling; a build scales the whole stack by
+the device's phase column, formed once, and takes its exponentials in one pass,
+then `expm` multiplies out each row's block.  The unitaries are unitary to
+machine precision whatever the truncation, whose error shows up only as state
+leakage, which the constructors guard against.
 
 `fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`:
 the space cuts every mode by the photon number the circuit conserves, and the
@@ -42,7 +44,7 @@ sweep runs a scan's points in turn, sharing the process-wide caches
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -72,6 +74,31 @@ def _check(dev, phase: str, strength: str | None = None) -> None:
         raise ValueError(f"{type(dev).__name__} modes must be distinct")
 
 
+# Each Gaussian device's (U, V), from its fields as numbers, or as arrays over the
+# points of a sweep, which stack (U, V) over them.
+
+
+def converter_heisenberg(theta, phi_s):
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi_s)
+    U = np.empty(np.shape(c) + (2, 2), complex)
+    U[..., 0, 0] = U[..., 1, 1] = c
+    U[..., 0, 1], U[..., 1, 0] = e * s, -e.conjugate() * s
+    return U, np.zeros(U.shape)
+
+
+def amplifier_heisenberg(squeeze, phi_p):
+    G, g = np.cosh(squeeze), -np.exp(1j * phi_p) * np.sinh(squeeze)
+    U, V = np.zeros(np.shape(G) + (2, 2)), np.zeros(np.shape(G) + (2, 2), complex)
+    U[..., 0, 0] = U[..., 1, 1] = G
+    V[..., 0, 1] = V[..., 1, 0] = g
+    return U, V
+
+
+def phase_heisenberg(phi):
+    U = np.exp(1j * phi)[..., None, None]
+    return U, np.zeros(U.shape)
+
+
 @dataclass(frozen=True)
 class Converter:
     pump_mode: str
@@ -95,8 +122,7 @@ class Converter:
     def heisenberg(self):
         """(U, V) over ``modes`` of a -> U a + V a^dag; V = 0, so single-photon
         amplitudes c (of sum_m c_m a_m^dag |0>) go to U c."""
-        c, s, e = np.cos(self.theta), np.sin(self.theta), np.exp(1j * self.phi_s)
-        return np.array([[c, e * s], [-e.conjugate() * s, c]]), np.zeros((2, 2))
+        return converter_heisenberg(self.theta, self.phi_s)
 
 
 @dataclass(frozen=True)
@@ -119,8 +145,7 @@ class Amplifier:
 
     @property
     def heisenberg(self):
-        G, g = np.cosh(self.squeeze), -np.exp(1j * self.phi_p) * np.sinh(self.squeeze)
-        return np.array([[G, 0], [0, G]]), np.array([[0, g], [g, 0]])
+        return amplifier_heisenberg(self.squeeze, self.phi_p)
 
 
 @dataclass(frozen=True)
@@ -157,7 +182,7 @@ class PhaseShift:
 
     @property
     def heisenberg(self):
-        return np.array([[np.exp(1j * self.phi)]]), np.zeros((1, 1))
+        return phase_heisenberg(self.phi)
 
 
 @dataclass(frozen=True)
@@ -177,29 +202,17 @@ class Attenuator:
 Device = Union[Converter, Amplifier, TrilinearCoupler, PhaseShift, Attenuator]
 
 
-@dataclass(frozen=True)
-class Circuit:
-    registry: ModeRegistry
-    devices: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "devices", tuple(self.devices))
-        for dev in self.devices:
-            for m in dev.modes:
-                self.registry.index(m)  # raises UnknownMode
-
-
 # ---------------------------------------------------------------------------
 # unitaries
 
 
-def expm(a: float, d: np.ndarray, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """exp(K) of a chain block K = c L - c^* L^dag, given a = |c|, the column d = (u^k),
-    u = i e^{i angle(c)}, at least as long as the chain, and T = V diag(w) V^T for the
-    real symmetric tridiagonal T of L's ladder elements along the chain.  With
-    D = diag(d), K = -i a D T D^dag, so exp(K) = D V diag(e^{-i a w}) V^T D^dag: unitary."""
-    DV = d[: len(w)] * V
-    return (DV * np.exp(-1j * a * w)) @ DV.conj().T
+def expm(DV: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(K) = DV diag(e) DV^dag of one chain block K = c L - c^* L^dag, given DV = D V
+    and e = e^{-i |c| w}, written into ``out`` if given, which may be DV itself.  With
+    D = diag(u^k), u = i e^{i angle(c)}, and T = V diag(w) V^T the real symmetric
+    tridiagonal of L's ladder elements along the chain, K = -i |c| D T D^dag, so
+    exp(K) = D V diag(e^{-i |c| w}) V^T D^dag: unitary."""
+    return np.matmul(DV * e, DV.conj().T, out=out)
 
 
 def amplifier_required_cutoff(squeeze: float, tail_tol: float = 1e-8) -> int:
@@ -218,7 +231,8 @@ class ChainGroups(list):
     """[idx, B] per chain length n: the flat indices idx (g, n) of g chains and
     their exponentials B (g, n, n), None until `build`.  State j's ladder element
     is ``coupling * elem[j]`` and its group ``group_of[j]`` (-1: on no chain);
-    ``walk`` is the box's `_walk_chains` entry, whose ``spectra`` store `build` fills."""
+    ``walk`` is the box's `_walk_chains` entry, whose ``spectra`` store `build` fills
+    with each group's `_spectra`."""
 
     def __init__(self, groups=(), coupling=0.0, walk=(None,) * 4):
         super().__init__(groups)
@@ -226,22 +240,35 @@ class ChainGroups(list):
         self.phases = None
 
     def build(self, g: int) -> np.ndarray:
-        """Group g's blocks, built once: one `expm` per distinct row, spread to its chains."""
+        """Group g's blocks, built once: the phases and exponentials of its stacked
+        spectra in one pass, then one `expm` per distinct row, spread to its chains."""
         if self[g][1] is None:
-            if self.phases is None:  # expm's d, down the longest chain
+            if self.phases is None:  # D's diagonal, down the longest chain
                 u = 1j * np.exp(1j * np.angle(self.coupling))
                 self.phases = u ** np.arange(self[-1][0].shape[1])[:, None]
-            if g not in self.spectra:  # one read-only eigh of T per distinct row, in order
-                rows, first = self.elem[self[g][0][:, :-1]], {}
-                inv = [first.setdefault(r.tobytes(), (len(first), r))[0] for r in rows]
-                eig = [np.linalg.eigh(np.diag(r, -1) + np.diag(r, 1)) for _, r in first.values()]
-                for w, V in eig:
-                    w.flags.writeable = V.flags.writeable = False
-                self.spectra[g] = eig, None if len(first) == len(rows) else np.array(inv)
-            eig, inv = self.spectra[g]
-            B = np.array([expm(abs(self.coupling), self.phases, w, V) for w, V in eig])
+            if g not in self.spectra:
+                self.spectra[g] = _spectra(self.elem[self[g][0][:, :-1]])
+            W, V, inv = self.spectra[g]
+            B, E = self.phases[: W.shape[1]] * V, np.exp(-1j * abs(self.coupling) * W)
+            for k in range(len(B)):  # each row's D V, overwritten by its block
+                expm(B[k], E[k], out=B[k])
             self[g][1] = B if inv is None else B[inv]
         return self[g][1]
+
+
+def _spectra(rows: np.ndarray):
+    """(W, V, inv): the eigenvalues W (k, n) and eigenvectors V (k, n, n) of the real
+    symmetric tridiagonal of each of the k distinct ladder rows, stacked read-only in
+    order of first appearance with one `np.linalg.eigh` each, and the distinct row of
+    each of ``rows`` (None if every row is distinct)."""
+    first = {}
+    inv = [first.setdefault(r.tobytes(), (len(first), r))[0] for r in rows]
+    k, n = len(first), rows.shape[1] + 1
+    W, V = np.empty((k, n)), np.empty((k, n, n))
+    for j, (_, r) in enumerate(first.values()):
+        W[j], V[j] = np.linalg.eigh(np.diag(r, -1) + np.diag(r, 1))
+    W.flags.writeable = V.flags.writeable = False
+    return W, V, None if len(first) == len(rows) else np.array(inv)
 
 
 @functools.lru_cache(maxsize=8)
@@ -249,7 +276,7 @@ def _walk_chains(cutoffs: tuple, axes: tuple, step: tuple):
     """The coupling-free part of `device_unitary`: ``(idx per group, elem,
     group_of, spectra)`` of the chains along ``step`` over ``axes`` of the cutoff
     box, walked once per box and kept read-only for every coupling.  ``spectra``
-    is the box's store {group: (spectra, inv)}, which `ChainGroups.build` fills."""
+    is the box's store {group: (W, V, inv)}, which `ChainGroups.build` fills."""
     dims, ax, up = np.array(cutoffs) + 1, list(axes), np.array(step) > 0
     n, cut = np.indices(dims).reshape(len(dims), -1).T[:, ax], dims[ax] - 1
     ahead = np.where(up, cut - n, n).min(axis=1)  # steps left to the chain's end
@@ -334,18 +361,16 @@ def trilinear_generator(registry: ModeRegistry, dev: TrilinearCoupler) -> np.nda
 # running circuits
 
 
-def compile_circuit(circuit: Circuit):
-    """The circuit's devices, left to right, as one pure function State -> State
-    on the Fock backend.  Each unitary device's chains are walked here, at compile
-    time, on the sub-registry of its own modes, so spectator modes never inflate
-    them; a group's blocks are built on the first run that reaches one of its chains."""
-    reg = circuit.registry
-    steps = [
-        (dev, None)
-        if isinstance(dev, Attenuator)
-        else (dev, device_unitary(reg.subregistry(dev.modes), dev))
-        for dev in circuit.devices
-    ]
+def compile_circuit(registry: ModeRegistry, devices):
+    """The devices, left to right, as one pure function State -> State on the Fock
+    backend over ``registry``, which must hold every mode they name.  Each unitary
+    device's chains are walked here, at compile time, on the sub-registry of its own
+    modes, so spectator modes never inflate them; a group's blocks are built on the
+    first run that reaches one of its chains."""
+    steps = []
+    for dev in devices:
+        sub = registry.subregistry(dev.modes)  # raises UnknownMode
+        steps.append((dev, None if isinstance(dev, Attenuator) else device_unitary(sub, dev)))
 
     def run(state: State) -> State:
         for dev, blocks in steps:
@@ -360,7 +385,7 @@ def compile_circuit(circuit: Circuit):
 
 def apply_device(state: State, dev: Device) -> State:
     """Apply one device to a Fock-backend state."""
-    return compile_circuit(Circuit(state.registry, (dev,)))(state)
+    return compile_circuit(state.registry, (dev,))(state)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +417,7 @@ def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     devices = alphas = None
     for i, (devs, inputs) in enumerate(points):
         if devs is not devices:
-            devices, run = devs, compile_circuit(Circuit(registry, devs))
+            devices, run = devs, compile_circuit(registry, devs)
         if inputs is not alphas:
             alphas, state = inputs, make_coherent(registry, inputs)
         out[i] = take(run(state))

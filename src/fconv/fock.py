@@ -235,6 +235,17 @@ def to_density(state: PureState) -> FockDensityOp:
     return FockDensityOp(state.registry, factor=state.amplitudes[:, None])
 
 
+def _to_front(t: np.ndarray, axes) -> np.ndarray:
+    """A view of ``t`` with ``axes`` first, in order, and every other axis after them."""
+    return t.transpose([*axes, *(a for a in range(t.ndim) if a not in axes)])
+
+
+def _from_front(t: np.ndarray, axes) -> np.ndarray:
+    """The inverse of `_to_front`: a view of ``t`` with its leading axes moved to ``axes``."""
+    order = [*axes, *(a for a in range(t.ndim) if a not in axes)]
+    return t.transpose(sorted(range(t.ndim), key=order.__getitem__))
+
+
 def _factor_tensor(state: State) -> np.ndarray:
     """W of rho = W W^dag with one axis per mode and a last axis per branch.
 
@@ -263,9 +274,8 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
     guarantees unitarity by construction.
     """
     reg = state.registry
-    axes = tuple(reg.index(m) for m in modes)
-    front = tuple(range(len(axes)))
-    t = np.moveaxis(_factor_tensor(state), axes, front)  # a view until a group applies
+    axes = [reg.index(m) for m in modes]
+    t = _to_front(_factor_tensor(state), axes)  # a view until a group applies
     live = [B is not None for _, B in op]
     if not all(live):  # one pass over the state serves every unbuilt group
         reached = np.zeros(len(op) + 1, dtype=bool)  # last entry: no chain
@@ -274,11 +284,11 @@ def apply_matrix(state: State, op, modes: tuple[str, ...]) -> State:
     if not any(live):
         return state
     t = t.copy()
-    X = t.reshape(int(np.prod(t.shape[: len(axes)])), -1)  # a view of the copy
+    X = t.reshape(math.prod(t.shape[: len(axes)]), -1)  # a view of the copy
     for g, (idx, _) in enumerate(op):
         if live[g]:
             X[idx] = op.build(g) @ X[idx]
-    out = np.moveaxis(t, front, axes).reshape(reg.dim, -1)
+    out = _from_front(t, axes).reshape(reg.dim, -1)
     if isinstance(state, PureState):
         return PureState(reg, out[:, 0])
     return FockDensityOp(reg, factor=out)
@@ -319,7 +329,7 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     reg = state.registry
     axis = reg.index(mode)
     d = reg.dims[axis]
-    t = np.moveaxis(_factor_tensor(state), axis, 0)
+    t = _to_front(_factor_tensor(state), [axis])
     lost = np.array([(1.0 - transmission) ** k for k in range(d)])
     kept = np.array([transmission**m for m in range(d)])
     # amp[m, k] = <m| K_k |m + k>, zero where m + k > cutoff
@@ -331,7 +341,7 @@ def apply_loss(state: State, mode: str, transmission: float) -> FockDensityOp:
     # out[m, ..., k] = amp[m, k] t[m + k], gathered from t padded with d zero levels
     out = np.concatenate((t, np.zeros_like(t)))[np.arange(d)[:, None] + np.arange(d)]
     out *= amp.reshape(amp.shape + (1,) * (t.ndim - 1))
-    out = np.moveaxis(out, (0, 1), (axis, -1))
+    out = _from_front(out, [axis, out.ndim - 1])
     return FockDensityOp(reg, factor=out.reshape(reg.dim, -1))
 
 
@@ -345,7 +355,7 @@ def reduced_density(state: State, keep) -> FockDensityOp:
         raise ValueError("keep must be nonempty")
     reg = state.registry
     keep_axes = [reg.index(l) for l in keep]
-    t = np.moveaxis(_factor_tensor(state), keep_axes, range(len(keep_axes)))
+    t = _to_front(_factor_tensor(state), keep_axes)
     sub = reg.subregistry(keep)
     return FockDensityOp(sub, factor=t.reshape(sub.dim, -1))
 
@@ -359,7 +369,7 @@ def mean_photon(state: State, mode: str) -> float:
     axis = reg.index(mode)
     probs = (np.abs(_factor_tensor(state)) ** 2).sum(axis=-1)
     n = np.arange(reg.dims[axis], dtype=float)
-    per_level = np.moveaxis(probs, axis, 0).reshape(reg.dims[axis], -1).sum(axis=1)
+    per_level = _to_front(probs, [axis]).reshape(reg.dims[axis], -1).sum(axis=1)
     return float(per_level @ n)
 
 
@@ -367,12 +377,12 @@ def _quadrature(t: np.ndarray, axis: int, phase: float) -> np.ndarray:
     """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2 applied along ``axis`` of a
     factor tensor, as two shifted slices: (a t)[n] = sqrt(n + 1) t[n + 1] and
     (a^dag t)[n + 1] = sqrt(n + 1) t[n]."""
-    t = np.moveaxis(t, axis, 0)
+    t = _to_front(t, [axis])
     root = np.sqrt(np.arange(1, t.shape[0])).reshape((-1,) + (1,) * (t.ndim - 1))
     xt = np.zeros_like(t)
     xt[:-1] = root * np.exp(-1j * phase) / 2 * t[1:]
     xt[1:] += root * np.exp(1j * phase) / 2 * t[:-1]
-    return np.moveaxis(xt, 0, axis)
+    return _from_front(xt, [axis])
 
 
 def quadrature_variance(state: State, mode: str, phase: float) -> float:

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Amplifier, Attenuator, Converter, Device, PhaseShift
+from .devices import (
+    Amplifier,
+    Attenuator,
+    Converter,
+    Device,
+    PhaseShift,
+    amplifier_heisenberg,
+    converter_heisenberg,
+    phase_heisenberg,
+)
 from .errors import NonGaussianDevice
 from .registry import ModeRegistry
 
@@ -69,11 +78,24 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict) -> GaussianState:
     return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 
-def _heisenberg(dev: Device):
-    """The device's (U, V), refused for a device that has none."""
-    if not isinstance(dev, (Converter, Amplifier, PhaseShift)):
-        raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
-    return dev.heisenberg
+# each Gaussian device kind's (U, V) formula and the fields it takes, in order
+_FORMULAS = {
+    Converter: (converter_heisenberg, "theta", "phi_s"),
+    Amplifier: (amplifier_heisenberg, "squeeze", "phi_p"),
+    PhaseShift: (phase_heisenberg, "phi"),
+}
+
+
+def _heisenberg(devs):
+    """(U, V) of one device, or of a list of devices of one kind, stacked over the list
+    by one call of its formula; refused for a device that has none."""
+    kind = type(devs[0] if isinstance(devs, list) else devs)
+    if kind not in _FORMULAS:
+        raise NonGaussianDevice(f"{kind.__name__} is not a Gaussian transformation")
+    if not isinstance(devs, list):
+        return devs.heisenberg
+    formula, *fields = _FORMULAS[kind]
+    return formula(*(np.array([getattr(dev, f) for dev in devs]) for f in fields))
 
 
 def _eye(registry: ModeRegistry, lead: tuple) -> np.ndarray:
@@ -130,8 +152,7 @@ def _moment_map(registry: ModeRegistry, devs):
             Y = np.zeros_like(X) if Y is None else Y
             X[at], Y[at] = _loss_map(registry, modes[0], [devs[i].transmission for i in at])
         else:
-            U, V = map(np.array, zip(*(_heisenberg(devs[i]) for i in at)))
-            X[at] = _symplectic(registry, modes, U, V)
+            X[at] = _symplectic(registry, modes, *_heisenberg([devs[i] for i in at]))
     return X, Y
 
 

@@ -5,8 +5,9 @@ dense single-mode matrices.
 `fconv.devices.device_unitary` keeps a device's unitary as chain blocks,
 built on demand, and never forms the dim x dim matrix; tests that compare against a dense oracle
 (scipy's expm, Heisenberg-picture operators) scatter the blocks into one.
-Each block comes from `fconv.devices.expm` on a phase column formed once per
-device; `reference_block` forms one block with its own phase, as a per-block formula.
+Each block comes from `fconv.devices.expm` on its row of a stack that a build
+scales by a phase column formed once per device; `reference_block` forms one block
+with its own phase, as a per-block formula.
 `fconv.experiments.run_wdm` propagates only the single-excitation
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
@@ -20,7 +21,6 @@ import numpy as np
 
 from fconv import (
     Amplifier,
-    Circuit,
     Converter,
     FockDensityOp,
     ModeRegistry,
@@ -100,14 +100,11 @@ def wdm_fock_cascade(spec) -> np.ndarray:
         [("pump", spec.pump_frequency, 1)]
         + [(f"idler{k}", f, 1) for k, f in enumerate(spec.idler_frequencies, start=1)]
     )
-    cascade = Circuit(
-        registry,
-        tuple(
-            Converter("pump", f"idler{k}", theta, phi)
-            for k, (_, theta, phi) in enumerate(spec.channels, start=1)
-        ),
-    )
-    out = compile_circuit(cascade)(make_fock(registry, [1] + [0] * K))
+    cascade = [
+        Converter("pump", f"idler{k}", theta, phi)
+        for k, (_, theta, phi) in enumerate(spec.channels, start=1)
+    ]
+    out = compile_circuit(registry, cascade)(make_fock(registry, [1] + [0] * K))
     amp = out.amplitudes.reshape(registry.dims)
     # the photon in mode m: occupation 1 on axis m, 0 elsewhere
     return np.array([amp[tuple(np.eye(K + 1, dtype=int)[m])] for m in range(K + 1)])

@@ -12,7 +12,6 @@ import fconv.devices
 from fconv import (
     Amplifier,
     Attenuator,
-    Circuit,
     Converter,
     CutoffTooSmall,
     FockDensityOp,
@@ -53,8 +52,14 @@ def chain_spectrum(elem):
 
 
 def phase_column(c, n):
-    """`expm`'s column d = (u^k), u = i e^{i angle(c)}, for k = 0 .. n - 1."""
+    """The diagonal of D = diag(u^k), u = i e^{i angle(c)}, k = 0 .. n - 1, as a column."""
     return (1j * np.exp(1j * np.angle(c))) ** np.arange(n)[:, None]
+
+
+def chain_block(c, elem):
+    """`expm` of the chain block of coupling c and ladder elements ``elem``."""
+    w, V = chain_spectrum(elem)
+    return chain_expm(phase_column(c, len(w)) * V, np.exp(-1j * abs(c) * w))
 
 
 SECTOR_WALK_CASES = {
@@ -150,7 +155,7 @@ def test_chain_expm_matches_scipy_and_is_unitary(size):
     c = rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
     elem = np.sqrt(rng.integers(1, 41, size - 1) * rng.integers(1, 41, size - 1))
     K = np.diag(c * elem, -1) - np.diag(np.conj(c) * elem, 1)
-    U = chain_expm(abs(c), phase_column(c, size), *chain_spectrum(elem))
+    U = chain_block(c, elem)
     assert np.max(np.abs(U - expm(K))) < 1e-13
     assert np.max(np.abs(U.conj().T @ U - np.eye(size))) < 1e-13
 
@@ -263,7 +268,7 @@ def test_amplifier_at_cutoff_42_allocates_no_dense_unitary():
     vacuum = make_vacuum(reg)
     tracemalloc.start()
     try:
-        out = compile_circuit(Circuit(reg, [Amplifier("s", "i", 1.0)]))(vacuum)
+        out = compile_circuit(reg, [Amplifier("s", "i", 1.0)])(vacuum)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,8 +410,9 @@ def test_device_validation():
         with pytest.raises(ValueError):
             make()
     reg = ModeRegistry([("p", 2.0, 2), ("i", 1.0, 2)])
-    with pytest.raises(UnknownMode):
-        Circuit(reg, [Converter("p", "zz", 0.5)])
+    for devices in ([Converter("p", "zz", 0.5)], [Converter("p", "i", 0.5), Attenuator("q", 0.5)]):
+        with pytest.raises(UnknownMode):  # at compile time, before any run
+            compile_circuit(reg, devices)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -466,7 +472,7 @@ def test_clipped_input_raises_or_is_exact(modes, occupations, dev, exact):
 
 def test_empty_circuit_is_identity():
     reg = ModeRegistry([("p", 2.0, 12), ("i", 1.0, 12)])
-    run = compile_circuit(Circuit(reg, []))
+    run = compile_circuit(reg, [])
     v = make_coherent(reg, {"p": 0.4})
     assert np.allclose(run(v).amplitudes, v.amplitudes)
 
@@ -475,19 +481,15 @@ def test_attenuated_conversion_closed_form():
     # loss then beam splitter on a coherent state: n_idler = T |alpha|^2 sin^2(theta)
     T, theta, alpha = 0.35, 0.8, 1.1
     reg = ModeRegistry([("p", 2.0, 14), ("i", 1.0, 14)])
-    run = compile_circuit(
-        Circuit(reg, [Attenuator("p", T), Converter("p", "i", theta)])
-    )
+    run = compile_circuit(reg, [Attenuator("p", T), Converter("p", "i", theta)])
     out = run(make_coherent(reg, {"p": alpha}))
     assert abs(mean_photon(out, "i") - T * alpha**2 * np.sin(theta) ** 2) < 1e-9
 
 
 def test_converter_composition_adds_angles():
     reg = ModeRegistry([("p", 2.0, 12), ("i", 1.0, 12)])
-    seq = compile_circuit(
-        Circuit(reg, [Converter("p", "i", 0.4), Converter("p", "i", 0.7)])
-    )
-    single = compile_circuit(Circuit(reg, [Converter("p", "i", 1.1)]))
+    seq = compile_circuit(reg, [Converter("p", "i", 0.4), Converter("p", "i", 0.7)])
+    single = compile_circuit(reg, [Converter("p", "i", 1.1)])
     start = make_coherent(reg, {"p": 0.5})
     a = seq(start).amplitudes
     b = single(start).amplitudes
@@ -561,9 +563,9 @@ def expm_calls(monkeypatch):
     calls = []
     original = fconv.devices.expm
 
-    def counting(a, d, w, V):
-        calls.append(len(w))
-        return original(a, d, w, V)
+    def counting(DV, e, out=None):
+        calls.append(len(e))
+        return original(DV, e, out)
 
     monkeypatch.setattr(fconv.devices, "expm", counting)
     return calls
@@ -595,8 +597,7 @@ def test_each_distinct_block_is_exponentiated_once(cutoffs, dev, calls, expm_cal
     elem = np.sqrt(np.where(np.array(step) > 0, n + 1, n).prod(axis=1))
     for (idx, _), B in zip(groups, built):
         for chain, block in zip(idx, B):
-            spectrum = chain_spectrum(elem[chain[:-1]])
-            assert np.array_equal(block, chain_expm(abs(c), phase_column(c, len(chain)), *spectrum))
+            assert np.array_equal(block, chain_block(c, elem[chain[:-1]]))
 
 
 def test_noise_scan_from_zero_strength_exponentiates_one_block(expm_calls):
@@ -630,14 +631,14 @@ def test_default_linearity_scan_builds_every_converter_group(monkeypatch, expm_c
 def test_compiled_circuit_builds_each_group_once_across_runs(expm_calls):
     # cutoff 8, equal on both modes: one distinct block per chain-length group
     reg = ModeRegistry([("s", 1.0, 8), ("i", 1.0, 8)])
-    circ = Circuit(reg, [Amplifier("s", "i", 0.2, 0.4)])
-    run = compile_circuit(circ)
+    amplifier = [Amplifier("s", "i", 0.2, 0.4)]
+    run = compile_circuit(reg, amplifier)
     run(make_vacuum(reg))
     assert expm_calls == [9]  # the n_s = n_i chain alone
     coherent = make_coherent(reg, {"s": 0.3})  # reaches every chain n_s - n_i = d >= 0
     second = run(coherent)
     assert len(expm_calls) == 8  # the 7 groups vacuum left unbuilt
-    fresh = compile_circuit(circ)(coherent)
+    fresh = compile_circuit(reg, amplifier)(coherent)
     assert len(expm_calls) == 16
     assert np.array_equal(second.amplitudes, fresh.amplitudes)
     third = run(coherent)
@@ -751,8 +752,9 @@ def stored_spectrum(groups, row):
     g = next(g for g, (idx, _) in enumerate(groups) if idx.shape[1] == len(row) + 1)
     rows = groups.elem[groups[g][0][:, :-1]]
     i = next(i for i, r in enumerate(rows) if np.array_equal(r, row))
-    spectra, inv = groups.spectra[g]
-    return spectra[i if inv is None else inv[i]]
+    W, V, inv = groups.spectra[g]
+    k = i if inv is None else inv[i]
+    return W[k], V[k]
 
 
 def test_converter_chain_spectrum_is_jordan_schwinger(eigh_calls):
@@ -763,7 +765,7 @@ def test_converter_chain_spectrum_is_jordan_schwinger(eigh_calls):
     for g in range(len(groups)):
         groups.build(g)
     # one eigh per distinct row
-    assert len(eigh_calls) == sum(len(spectra) for spectra, _ in groups.spectra.values())
+    assert len(eigh_calls) == sum(len(W) for W, _, _ in groups.spectra.values())
     for N in range(1, 13):
         k = np.arange(N)  # <k + 1, N - k - 1| L |k, N - k> = sqrt((k + 1)(N - k))
         w, _ = stored_spectrum(groups, np.sqrt((k + 1) * (N - k)))
@@ -792,9 +794,9 @@ def test_fringe_combiner_diagonalises_nothing_over_its_converter(eigh_calls, exp
     reg = ModeRegistry([("pump", 2.0, c), ("idler", 1.0, c), ("ref", 1.0, c)])
     conv, combiner = Converter("pump", "idler", 0.6, 0.3), Converter("idler", "ref", np.pi / 4)
     state = make_coherent(reg, {"pump": 1.0, "ref": 0.25})
-    compile_circuit(Circuit(reg, (conv,)))(state)
+    compile_circuit(reg, (conv,))(state)
     assert len(eigh_calls) == len(expm_calls) == 2 * c - 1
-    compile_circuit(Circuit(reg, (conv, combiner)))(state)
+    compile_circuit(reg, (conv, combiner))(state)
     assert len(eigh_calls) == 2 * c - 1
     assert len(expm_calls) == 3 * (2 * c - 1)
 
@@ -804,8 +806,8 @@ def test_stored_spectra_are_read_only_and_at_most_eight_boxes(eigh_calls):
         reg = ModeRegistry([("s", 1.0, cutoff), ("i", 1.0, cutoff)])
         groups = device_unitary(reg, Amplifier("s", "i", 0.01))
         groups.build(0)
-        spectra, _ = groups.spectra[0]
-        for array in spectra[0]:
+        W, V, _ = groups.spectra[0]
+        for array in (W, V):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert fconv.devices._walk_chains.cache_info().currsize == min(cutoff - 1, 8)
@@ -834,16 +836,24 @@ _DENSE_CASES = {
 }
 
 
-def _draw_device(data, strength=None):
+def _draw_device(data, strength=None, spectators=False):
     """(registry, device, strength, dense generator) on cutoffs that are equal
-    (shared mirror blocks) or not; the strength is drawn unless given."""
+    (shared mirror blocks) or not; the strength is drawn unless given.  With
+    ``spectators``, one or two spectator modes join the registry, every mode at a
+    random axis position, and the cutoffs shrink so the dense oracle stays small."""
     kind = data.draw(st.sampled_from(sorted(_DENSE_CASES)), label="device")
     num_modes, generator, build = _DENSE_CASES[kind]
-    cutoffs = data.draw(st.lists(st.integers(1, 8), min_size=num_modes, max_size=num_modes))
+    top = 4 if spectators else 8
+    cutoffs = data.draw(st.lists(st.integers(1, top), min_size=num_modes, max_size=num_modes))
     if data.draw(st.booleans(), label="equal cutoffs"):
         cutoffs = [cutoffs[0]] * num_modes
     modes = "abc"[:num_modes]
-    reg = ModeRegistry([(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))])
+    entries = [(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))]
+    if spectators:
+        extra = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="spectators")
+        entries += [(m, 4.0 + i, c) for i, (m, c) in enumerate(zip("xy", extra))]
+        entries = data.draw(st.permutations(entries), label="mode order")
+    reg = ModeRegistry(entries)
     if strength is None:
         strength = data.draw(st.floats(0.0, 1.5), label="strength")
         if kind == "amplifier":  # strictly inside the squeezed-vacuum tail guard, not on its edge
@@ -920,12 +930,14 @@ def test_blocks_at_subnormal_and_tiny_strengths(kind, strength):
 @given(st.data())
 def test_run_on_some_chains_matches_dense_and_every_group_built(data):
     # a state on a random subset of the chains (and of the states on none):
-    # the groups it leaves unbuilt must not change the result
-    reg, dev, _, _ = _draw_device(data)
+    # the groups it leaves unbuilt must not change the result; the device's
+    # modes sit among spectators, so its axes go to the front and back, on a
+    # pure state and on a mixed one
+    reg, dev, _, _ = _draw_device(data, spectators=True)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     share = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]), label="share of chains")
     groups = device_unitary(reg, dev)
-    branches = data.draw(st.integers(1, 2), label="branches")
+    branches = data.draw(st.integers(2, 3), label="branches")
     W = rng.standard_normal((reg.dim, branches)) + 1j * rng.standard_normal((reg.dim, branches))
     for column in W.T:  # each branch on its own subset
         off = rng.random(reg.dim) >= share  # states on no chain
@@ -933,16 +945,13 @@ def test_run_on_some_chains_matches_dense_and_every_group_built(data):
             off[idx] = (rng.random(len(idx)) >= share)[:, None]
         column[off] = 0
     W[rng.integers(reg.dim), 0] = 1  # never the zero vector
-    W /= np.linalg.norm(W)
-    state = PureState(reg, W[:, 0]) if branches == 1 else FockDensityOp(reg, factor=W)
-
-    def factor(out):
-        return out.amplitudes[:, None] if branches == 1 else out.factor
-
-    circ = Circuit(reg, [dev])
-    lazy = factor(compile_circuit(circ)(state))
-    assert np.max(np.abs(lazy - dense_unitary(reg, dev) @ W)) < 1e-12
+    pure = PureState(reg, W[:, 0] / np.linalg.norm(W[:, 0]))
+    mixed = FockDensityOp(reg, factor=W / np.linalg.norm(W))
+    U = dense_unitary(reg, dev)
     original = fconv.devices.device_unitary
+
+    def factor(state):
+        return state.factor if isinstance(state, FockDensityOp) else state.amplitudes[:, None]
 
     def forced(registry, device):
         out = original(registry, device)
@@ -950,7 +959,10 @@ def test_run_on_some_chains_matches_dense_and_every_group_built(data):
             out.build(g)
         return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fconv.devices, "device_unitary", forced)
-        eager = factor(compile_circuit(circ)(state))
-    assert np.array_equal(lazy, eager)
+    for state in (pure, mixed):
+        lazy = factor(compile_circuit(reg, [dev])(state))
+        assert np.max(np.abs(lazy - U @ factor(state))) < 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fconv.devices, "device_unitary", forced)
+            eager = factor(compile_circuit(reg, [dev])(state))
+        assert np.array_equal(lazy, eager)

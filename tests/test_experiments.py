@@ -61,7 +61,7 @@ def test_scanresult_holds_read_only_copies():
 
 
 # ---------------------------------------------------------------------------
-# the backend seam: every runner compiles a Circuit for its backend
+# the backend seam: every runner hands its scan to its backend's sweep
 
 
 @pytest.mark.parametrize(
