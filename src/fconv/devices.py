@@ -3,7 +3,8 @@
 Three interactions drive everything.  Each Gaussian device (the first two, and
 PhaseShift, a -> e^{i phi} a) states its Heisenberg action a -> U a + V a^dag
 over its ``modes`` once, as a formula (U, V) of its fields that also takes arrays
-over the points of a sweep; its property ``heisenberg`` applies it to its own fields:
+over the points of a sweep, named by its class's ``_uv``, which `heisenberg_uv`
+reads for one device (its property ``heisenberg``) or for a list of one kind:
 
   * Converter -- pump/idler exchange with a strong classical signal field
     (theta = coupling * interaction time, phi_s the drive phase):
@@ -75,10 +76,12 @@ def _check(dev, phase: str, strength: str | None = None) -> None:
 
 
 # Each Gaussian device's (U, V), from its fields as numbers, or as arrays over the
-# points of a sweep, which stack (U, V) over them.
+# points of a sweep, which stack (U, V) over them.  Each Gaussian device class
+# names its formula and the fields it takes, in order, as ``_uv``, which a
+# subclass inherits.
 
 
-def converter_heisenberg(theta, phi_s):
+def _converter_uv(theta, phi_s):
     c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi_s)
     U = np.empty(np.shape(c) + (2, 2), complex)
     U[..., 0, 0] = U[..., 1, 1] = c
@@ -86,7 +89,7 @@ def converter_heisenberg(theta, phi_s):
     return U, np.zeros(U.shape)
 
 
-def amplifier_heisenberg(squeeze, phi_p):
+def _amplifier_uv(squeeze, phi_p):
     G, g = np.cosh(squeeze), -np.exp(1j * phi_p) * np.sinh(squeeze)
     U, V = np.zeros(np.shape(G) + (2, 2)), np.zeros(np.shape(G) + (2, 2), complex)
     U[..., 0, 0] = U[..., 1, 1] = G
@@ -94,9 +97,23 @@ def amplifier_heisenberg(squeeze, phi_p):
     return U, V
 
 
-def phase_heisenberg(phi):
+def _phase_uv(phi):
     U = np.exp(1j * phi)[..., None, None]
     return U, np.zeros(U.shape)
+
+
+def heisenberg_uv(devs):
+    """(U, V) over the modes of one device, or of a list of devices of one kind,
+    stacked over the list by one call of its formula; None for a device that has
+    no (U, V)."""
+    one = not isinstance(devs, list)
+    uv = getattr(devs if one else devs[0], "_uv", None)
+    if uv is None:
+        return None
+    formula, fields = uv
+    if one:
+        return formula(*[getattr(devs, f) for f in fields])
+    return formula(*[np.array([getattr(dev, f) for dev in devs]) for f in fields])
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,7 @@ class Converter:
     idler_mode: str
     theta: float
     phi_s: float = 0.0
+    _uv = (_converter_uv, ("theta", "phi_s"))
 
     def __post_init__(self):
         _check(self, "phi_s", "theta")
@@ -122,7 +140,7 @@ class Converter:
     def heisenberg(self):
         """(U, V) over ``modes`` of a -> U a + V a^dag; V = 0, so single-photon
         amplitudes c (of sum_m c_m a_m^dag |0>) go to U c."""
-        return converter_heisenberg(self.theta, self.phi_s)
+        return heisenberg_uv(self)
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,7 @@ class Amplifier:
     idler_mode: str
     squeeze: float
     phi_p: float = 0.0
+    _uv = (_amplifier_uv, ("squeeze", "phi_p"))
 
     def __post_init__(self):
         _check(self, "phi_p", "squeeze")
@@ -145,7 +164,7 @@ class Amplifier:
 
     @property
     def heisenberg(self):
-        return amplifier_heisenberg(self.squeeze, self.phi_p)
+        return heisenberg_uv(self)
 
 
 @dataclass(frozen=True)
@@ -172,6 +191,7 @@ class TrilinearCoupler:
 class PhaseShift:
     mode: str
     phi: float
+    _uv = (_phase_uv, ("phi",))
 
     def __post_init__(self):
         _check(self, "phi")
@@ -182,7 +202,7 @@ class PhaseShift:
 
     @property
     def heisenberg(self):
-        return phase_heisenberg(self.phi)
+        return heisenberg_uv(self)
 
 
 @dataclass(frozen=True)
@@ -368,9 +388,12 @@ def compile_circuit(registry: ModeRegistry, devices):
     modes, so spectator modes never inflate them; a group's blocks are built on the
     first run that reaches one of its chains."""
     steps = []
-    for dev in devices:
-        sub = registry.subregistry(dev.modes)  # raises UnknownMode
-        steps.append((dev, None if isinstance(dev, Attenuator) else device_unitary(sub, dev)))
+    for dev in devices:  # registry.index and subregistry raise UnknownMode
+        if isinstance(dev, Attenuator):
+            registry.index(dev.mode)
+            steps.append((dev, None))
+        else:
+            steps.append((dev, device_unitary(registry.subregistry(dev.modes), dev)))
 
     def run(state: State) -> State:
         for dev, blocks in steps:

@@ -23,16 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (
-    Amplifier,
-    Attenuator,
-    Converter,
-    Device,
-    PhaseShift,
-    amplifier_heisenberg,
-    converter_heisenberg,
-    phase_heisenberg,
-)
+from .devices import Attenuator, Device, heisenberg_uv
 from .errors import NonGaussianDevice
 from .registry import ModeRegistry
 
@@ -78,24 +69,14 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict) -> GaussianState:
     return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 
-# each Gaussian device kind's (U, V) formula and the fields it takes, in order
-_FORMULAS = {
-    Converter: (converter_heisenberg, "theta", "phi_s"),
-    Amplifier: (amplifier_heisenberg, "squeeze", "phi_p"),
-    PhaseShift: (phase_heisenberg, "phi"),
-}
-
-
 def _heisenberg(devs):
-    """(U, V) of one device, or of a list of devices of one kind, stacked over the list
-    by one call of its formula; refused for a device that has none."""
-    kind = type(devs[0] if isinstance(devs, list) else devs)
-    if kind not in _FORMULAS:
-        raise NonGaussianDevice(f"{kind.__name__} is not a Gaussian transformation")
-    if not isinstance(devs, list):
-        return devs.heisenberg
-    formula, *fields = _FORMULAS[kind]
-    return formula(*(np.array([getattr(dev, f) for dev in devs]) for f in fields))
+    """(U, V) of one device, or of a list of devices of one kind, stacked over the
+    list; refused for a device that has none."""
+    uv = heisenberg_uv(devs)
+    if uv is None:
+        dev = devs[0] if isinstance(devs, list) else devs
+        raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
+    return uv
 
 
 def _eye(registry: ModeRegistry, lead: tuple) -> np.ndarray:
@@ -148,7 +129,7 @@ def _moment_map(registry: ModeRegistry, devs):
         kinds.setdefault((type(dev), dev.modes), []).append(i)
     X, Y = _eye(registry, (len(devs),)), None
     for (kind, modes), at in kinds.items():
-        if kind is Attenuator:
+        if issubclass(kind, Attenuator):
             Y = np.zeros_like(X) if Y is None else Y
             X[at], Y[at] = _loss_map(registry, modes[0], [devs[i].transmission for i in at])
         else:

@@ -44,7 +44,6 @@ class ModeRegistry:
         self.dims = tuple(c + 1 for c in self.cutoffs)  # per-mode Hilbert dimensions
         self.dim = math.prod(self.dims)  # total Hilbert dimension
         self.num_modes = len(parsed)
-        self._subregistries = {}
 
     def index(self, label: str) -> int:
         try:
@@ -61,14 +60,10 @@ class ModeRegistry:
         return int(np.ravel_multi_index(tuple(int(n) for n in occupations), self.dims))
 
     def subregistry(self, labels: Sequence[str]) -> "ModeRegistry":
-        """The registry of only the given modes, in the given order: one per label tuple."""
-        labels = tuple(labels)
-        if labels not in self._subregistries:
-            modes = [self.modes[self.index(l)] for l in labels]
-            self._subregistries[labels] = ModeRegistry(
-                [(m.label, m.frequency, m.cutoff) for m in modes]
-            )
-        return self._subregistries[labels]
+        """New registry containing only the given modes, in the given order."""
+        return ModeRegistry(
+            [(m.label, m.frequency, m.cutoff) for m in (self.modes[self.index(l)] for l in labels)]
+        )
 
     def __repr__(self):
         inner = ", ".join(f"{m.label}(w={m.frequency:g}, cutoff={m.cutoff})" for m in self.modes)

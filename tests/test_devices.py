@@ -839,18 +839,21 @@ _DENSE_CASES = {
 def _draw_device(data, strength=None, spectators=False):
     """(registry, device, strength, dense generator) on cutoffs that are equal
     (shared mirror blocks) or not; the strength is drawn unless given.  With
-    ``spectators``, one or two spectator modes join the registry, every mode at a
-    random axis position, and the cutoffs shrink so the dense oracle stays small."""
+    ``spectators``, none, one or two spectator modes join the registry, every mode
+    at a random axis position; a trilinear coupler among spectators keeps its
+    cutoffs at 4 or below so the dense oracle stays small."""
     kind = data.draw(st.sampled_from(sorted(_DENSE_CASES)), label="device")
     num_modes, generator, build = _DENSE_CASES[kind]
-    top = 4 if spectators else 8
+    extra = []
+    if spectators:
+        extra = data.draw(st.lists(st.integers(1, 2), max_size=2), label="spectators")
+    top = 4 if extra and num_modes == 3 else 8
     cutoffs = data.draw(st.lists(st.integers(1, top), min_size=num_modes, max_size=num_modes))
     if data.draw(st.booleans(), label="equal cutoffs"):
         cutoffs = [cutoffs[0]] * num_modes
     modes = "abc"[:num_modes]
     entries = [(m, 1.0 + i, c) for i, (m, c) in enumerate(zip(modes, cutoffs))]
-    if spectators:
-        extra = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="spectators")
+    if extra:
         entries += [(m, 4.0 + i, c) for i, (m, c) in enumerate(zip("xy", extra))]
         entries = data.draw(st.permutations(entries), label="mode order")
     reg = ModeRegistry(entries)
@@ -931,8 +934,8 @@ def test_blocks_at_subnormal_and_tiny_strengths(kind, strength):
 def test_run_on_some_chains_matches_dense_and_every_group_built(data):
     # a state on a random subset of the chains (and of the states on none):
     # the groups it leaves unbuilt must not change the result; the device's
-    # modes sit among spectators, so its axes go to the front and back, on a
-    # pure state and on a mixed one
+    # modes may sit among spectators, so its axes go to the front and back, on
+    # a pure state and on a mixed one
     reg, dev, _, _ = _draw_device(data, spectators=True)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     share = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]), label="share of chains")

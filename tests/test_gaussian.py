@@ -272,6 +272,20 @@ def test_devices_without_heisenberg_map_have_no_symplectic(dev):
     for symplectic in (device_symplectic, reference_symplectic):
         with pytest.raises(NonGaussianDevice):
             symplectic(reg, dev)
+    with pytest.raises(NonGaussianDevice, match=type(dev).__name__):
+        _heisenberg([dev, dev])  # the stacked lookup refuses it too
+
+
+@pytest.mark.parametrize(
+    "dev", [Converter("a", "b", 0.4, 0.3), Amplifier("b", "c", 0.2, -1.1), PhaseShift("c", 0.9)]
+)
+def test_subclass_of_a_gaussian_device_keeps_its_map(dev):
+    # the (U, V) formula is found through the class hierarchy, one device or stacked
+    sub = type("Sub" + type(dev).__name__, (type(dev),), {})(*vars(dev).values())
+    reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
+    assert all(np.array_equal(a, b) for a, b in zip(sub.heisenberg, dev.heisenberg))
+    assert np.array_equal(_moment_map(reg, sub)[0], _moment_map(reg, dev)[0])
+    assert np.array_equal(_moment_map(reg, [sub, sub])[0], _moment_map(reg, [dev, dev])[0])
 
 
 def test_random_circuit_cross_backend():
