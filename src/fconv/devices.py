@@ -57,9 +57,11 @@ from .fock import (
     apply_loss,
     apply_matrix,
     coherent_required_cutoff,
+    fidelity_pure_mixed,
     make_coherent,
     mean_photon,
     quadrature_variance,
+    reduced_density,
 )
 from .registry import ModeRegistry
 
@@ -428,10 +430,12 @@ def fock_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
 
 
 def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
-    """The points in turn on the Fock backend.  A devices tuple or input dict that
-    is the same object as the previous point's is compiled or prepared once, and a
+    """The points in turn on the Fock backend; "fidelity" reads the reduced state on
+    ``modes`` against the pure ``target``.  A devices tuple or input dict that is the
+    same object as the previous point's is compiled or prepared once, and a
     circuit's blocks are freed before the next circuit builds its own."""
-    read = {"photons": mean_photon, "variance": quadrature_variance}
+    read = {"photons": mean_photon, "variance": quadrature_variance, "fidelity":
+            lambda state, modes, target: fidelity_pure_mixed(target, reduced_density(state, modes))}
 
     def take(state):  # the output state is dropped once its reads are taken
         return [read[kind](state, *args) for kind, *args in reads]

@@ -24,15 +24,7 @@ from .devices import (
     fock_sweep,
 )
 from .errors import EnergyConservationViolation
-from .fock import (
-    PureState,
-    coherent_required_cutoff,
-    fidelity_pure_mixed,
-    make_coherent,
-    make_vacuum,
-    product_state,
-    reduced_density,
-)
+from .fock import PureState, coherent_required_cutoff, make_coherent
 from .gaussian import gaussian_space, gaussian_sweep
 from .registry import ModeRegistry
 
@@ -90,8 +82,9 @@ def _backend(name: str):
     """(space, sweep) of one backend: space(modes, alpha=0.0, squeeze=None) is the
     registry of (label, frequency) pairs for a photon budget, and
     sweep(registry, points, reads) the points x reads array of a scan, each point
-    (devices, {label: alpha}) with a coherent input, vacuum elsewhere, and each read
-    ("photons", mode) or ("variance", mode, phase).
+    (devices, {label: input}) with a coherent amplitude (or, on Fock, a one-mode
+    PureState) per listed mode, vacuum elsewhere, and each read ("photons", mode),
+    ("variance", mode, phase) or, on Fock, ("fidelity", modes, pure target).
 
     This is the one place that names a backend; each backend module owns its
     space and sweep.  The sweeps read the functions they call from their module's
@@ -266,32 +259,30 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
     converter.  Fidelity of the reduced pump+idler output against the
     converter prediction approaches one as the signal becomes classical.
 
+    ``pump_input`` is any single-mode state (its label is not read); each amplitude
+    is one point of a Fock sweep on its own (pump, signal, idler) registry.
     The signal cutoff is the coherent tail of alpha_s plus the pump cutoff:
     the coupler conserves n_p + n_s, so it clips no chain it reaches.  The
     metadata's `cutoffs` name the pump and idler; `signal_cutoffs` gives the
     signal cutoff of each amplitude.
     """
-    if pump_input.registry.num_modes != 1:
-        raise ValueError("pump_input must live on a single mode")
     alphas = [float(a) for a in alpha_s_points]
     if any(a <= 0 for a in alphas):
         raise ValueError("signal amplitudes must be > 0")
     c_p = pump_input.registry.cutoffs[0]
 
-    # linearized prediction: same pump input through a converter at theta
-    pump = PureState(ModeRegistry([("pump", 2.0, c_p)]), pump_input.amplitudes)
-    target = apply_device(
-        product_state(pump, make_vacuum(ModeRegistry([("idler", 1.0, c_p)]))),
-        Converter("pump", "idler", theta),
-    )
+    # linearized prediction: the same pump input through a converter at theta
+    pump_idler = ModeRegistry([("pump", 2.0, c_p), ("idler", 1.0, c_p)])
+    target = apply_device(make_coherent(pump_idler, {"pump": pump_input}),
+                          Converter("pump", "idler", theta))
+    fidelity = [("fidelity", ("pump", "idler"), target)]
 
     fidelities, signal_cutoffs = [], [coherent_required_cutoff(a) + c_p for a in alphas]
     for a_s, c_s in zip(alphas, signal_cutoffs):
-        signal_idler = ModeRegistry([("signal", 1.0, c_s), ("idler", 1.0, c_p)])
-        state = product_state(pump, make_coherent(signal_idler, {"signal": a_s}))
+        registry = ModeRegistry([("pump", 2.0, c_p), ("signal", 1.0, c_s), ("idler", 1.0, c_p)])
         coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)
-        reduced = reduced_density(apply_device(state, coupler), ["pump", "idler"])
-        fidelities.append(fidelity_pure_mixed(target, reduced))
+        point = ((coupler,), {"pump": pump_input, "signal": a_s})
+        fidelities.append(fock_sweep(registry, [point], fidelity)[0, 0])
 
     return ScanResult(
         abscissa_label="alpha_s",

@@ -196,22 +196,29 @@ def _coherent_vector(mode: str, cutoff: int, alpha: complex) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def make_coherent(registry: ModeRegistry, alphas: dict[str, complex]) -> PureState:
-    """Product of truncated coherent states, one amplitude per mode label;
-    unlisted modes are vacuum.
+def make_coherent(registry: ModeRegistry, alphas: dict[str, complex | PureState]) -> PureState:
+    """Product state with one factor per listed mode label: a coherent amplitude, or a
+    single-mode PureState with that mode's level count; unlisted modes are vacuum.
 
     Fails loudly (CutoffTooSmall) if a mode's discarded Poisson tail mass
     exceeds COHERENT_TAIL_TOL, rather than silently renormalizing a bad
-    truncation.
+    truncation; a state of any other shape raises DimensionMismatch.
     """
     for label in alphas:
         registry.index(label)  # raises UnknownMode
     full = _zeros(registry)
-    # the coherent factors fill the listed axes; vacuum axes stay at level 0
+    # the listed factors fill their axes; vacuum axes stay at level 0
     listed = np.ones((), dtype=complex)
     for mode in registry.modes:
         if mode.label in alphas:
-            vec = _coherent_vector(mode.label, mode.cutoff, alphas[mode.label])
+            vec = alphas[mode.label]
+            if not isinstance(vec, PureState):
+                vec = _coherent_vector(mode.label, mode.cutoff, vec)
+            elif vec.registry.dims == (mode.cutoff + 1,):
+                vec = vec.amplitudes
+            else:
+                raise DimensionMismatch(f"input state of dims {vec.registry.dims} on mode "
+                                        f"{mode.label!r}, which has {mode.cutoff + 1} levels")
             listed = np.multiply.outer(listed, vec)
     full[tuple(slice(None) if m.label in alphas else 0 for m in registry.modes)] = listed
     return PureState(registry, full.reshape(-1))

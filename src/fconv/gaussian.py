@@ -25,6 +25,7 @@ import numpy as np
 
 from .devices import Attenuator, Device, heisenberg_uv
 from .errors import NonGaussianDevice
+from .fock import PureState
 from .registry import ModeRegistry
 
 VACUUM_VARIANCE = 0.25
@@ -195,10 +196,10 @@ def gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
 
 
 def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
-    """Every point at once on the Gaussian backend.  The inputs stack into one means
-    array; each device position is one moment map, shared if every point holds the
-    same device object and stacked over the points otherwise; one affine step moves
-    the stack, and each read is one call over it."""
+    """Every point at once on the Gaussian backend.  The inputs, coherent only, stack
+    into one means array; each device position is one moment map, shared if every
+    point holds the same device object and stacked over the points otherwise; one
+    affine step moves the stack, and each read is one call over it."""
     out = np.empty((len(points), len(reads)))
     if not points:
         return out
@@ -206,7 +207,10 @@ def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     positions = [devs[0] if all(d is devs[0] for d in devs) else list(devs)
                  for devs in zip(*devices, strict=True)]  # every point holds one per position
     labels = dict.fromkeys(label for alphas in inputs for label in alphas)
-    amplitudes = {label: np.array([a.get(label, 0.0) for a in inputs]) for label in labels}
+    amplitudes = {label: [a.get(label, 0.0) for a in inputs] for label in labels}
+    for label, alphas in amplitudes.items():
+        if any(isinstance(a, PureState) for a in alphas):
+            raise NonGaussianDevice(f"a Fock-state input on mode {label!r} is not Gaussian")
     state = _step(coherent_gaussian(registry, amplitudes), _fold(registry, positions))
     read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
     for j, (kind, *args) in enumerate(reads):

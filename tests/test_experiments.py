@@ -14,18 +14,25 @@ from fconv import (
     Amplifier,
     Attenuator,
     Converter,
+    DimensionMismatch,
     EnergyConservationViolation,
     GaussianState,
     ModeRegistry,
     PhaseShift,
+    PureState,
+    TrilinearCoupler,
     coherent_gaussian,
+    compile_circuit,
+    fidelity_pure_mixed,
     gaussian_mean_photon,
     gaussian_quadrature_variance,
     ScanResult,
     WdmSpec,
     fringe_visibility,
+    make_coherent,
     make_fock,
     make_vacuum,
+    reduced_density,
     run_depletion_convergence,
     run_fringe,
     run_linearity,
@@ -33,6 +40,7 @@ from fconv import (
     run_wdm,
 )
 
+from fconv.fock import coherent_required_cutoff
 from fconv.gaussian import _fold, _step
 
 from dense_reference import wdm_fock_cascade
@@ -232,6 +240,40 @@ def test_fock_sweep_compiles_a_shared_circuit_and_prepares_a_shared_input_once(m
     sweep(reg, [(devices, alphas), (devices, dict(alphas)), ((devices[0],), alphas)], [])
     assert calls == ["compile_circuit", "make_coherent", "make_coherent", "compile_circuit",
                      "make_coherent"]
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("alpha_s", [1.5, 3.0])
+def test_fock_sweep_trilinear_keeps_both_charges_of_a_number_pump(n, alpha_s):
+    # pump |N> and a coherent signal through the coupler: n_p + n_s and n_s - n_i
+    # are conserved, so their means leave as they came (the signal is cut at its
+    # coherent tail plus N, which the coupler can move onto it)
+    reg = ModeRegistry([("pump", 2.0, n), ("signal", 1.0, coherent_required_cutoff(alpha_s) + n),
+                        ("idler", 1.0, n)])
+    inputs = {"pump": make_fock(ModeRegistry([("pump", 2.0, n)]), [n]), "signal": alpha_s}
+    coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=0.7 / alpha_s)
+    _, sweep = fconv.experiments._backend("fock")
+    reads = [("photons", m) for m in ("pump", "signal", "idler")]
+    (p0, s0, i0), (p1, s1, i1) = sweep(reg, [((), inputs), ((coupler,), inputs)], reads)
+    assert abs(p0 - n) < 1e-12 and i0 == 0 and p1 < n - 0.1  # the pump is depleted
+    assert abs((p1 + s1) - (p0 + s0)) < 1e-12
+    assert abs((s1 - i1) - (s0 - i0)) < 1e-12
+
+
+def test_fock_sweep_fidelity_read_is_the_reduced_state_fidelity():
+    # a pure output, and a mixed one: the attenuator splits |2> into loss branches
+    reg = ModeRegistry([("a", 2.0, 2), ("b", 1.0, 2), ("c", 1.0, 2)])
+    inputs = {"a": make_fock(ModeRegistry([("a", 2.0, 2)]), [2]), "c": 0.01}
+    target = PureState(ModeRegistry([("a", 2.0, 2), ("b", 1.0, 2)]),
+                       np.array([0, 0, 0.6, 0, -0.8j, 0, 0, 0, 0]))  # 0.6 |0, 2> - 0.8i |1, 1>
+    points = [((Converter("a", "b", 0.7),), inputs),
+              ((Attenuator("a", 0.6), Converter("a", "b", 0.7)), inputs)]
+    _, sweep = fconv.experiments._backend("fock")
+    got = sweep(reg, points, [("fidelity", ("a", "b"), target)])[:, 0]
+    for (devices, _), fid in zip(points, got):
+        rho = reduced_density(compile_circuit(reg, devices)(make_coherent(reg, inputs)), ("a", "b"))
+        assert fid == fidelity_pure_mixed(target, rho) and 0.0 < fid < 1.0
+    assert np.trace(rho.matrix @ rho.matrix).real < 0.9  # the lossy output is mixed
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +553,12 @@ def test_depletion_rejects_bad_amplitudes():
     reg = ModeRegistry([("pump", 2.0, 1)])
     with pytest.raises(ValueError):
         run_depletion_convergence([0.0], np.pi / 2, make_vacuum(reg))
+
+
+def test_depletion_refuses_a_pump_on_two_modes():
+    pump = make_fock(ModeRegistry([("pump", 2.0, 1), ("other", 1.0, 2)]), [1, 0])
+    with pytest.raises(DimensionMismatch, match=r"dims \(2, 3\) on mode 'pump', which has 2"):
+        run_depletion_convergence([2.0], np.pi / 2, pump)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,34 @@ def test_make_coherent_multimode_is_the_product_state():
         make_coherent(reg, {"a": 0.3, "c": 3.0})
 
 
+def test_make_coherent_takes_a_single_mode_state_as_that_mode_factor():
+    # a state stands in for an amplitude; its own label is not read
+    reg = ModeRegistry([("a", 1.0, 6), ("b", 1.0, 3), ("c", 1.0, 8)])
+    b = PureState(ModeRegistry([("x", 5.0, 3)]), np.array([1, 1j, 0, -1]) / np.sqrt(3))
+    got = make_coherent(reg, {"b": b, "a": 0.3})
+    want = product_state(
+        make_coherent(ModeRegistry([("a", 1.0, 6)]), {"a": 0.3}),
+        b,
+        make_vacuum(ModeRegistry([("c", 1.0, 8)])),
+    )
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "state, dims",
+    [
+        (make_fock(ModeRegistry([("b", 1.0, 2)]), [1]), r"\(3,\)"),  # one level short
+        (make_fock(ModeRegistry([("b", 1.0, 4)]), [1]), r"\(5,\)"),  # one level over
+        (make_vacuum(ModeRegistry([("b", 1.0, 1), ("c", 1.0, 1)])), r"\(2, 2\)"),  # two modes
+    ],
+    ids=["short", "over", "two-modes"],
+)
+def test_make_coherent_refuses_a_state_of_another_shape(state, dims):
+    reg = ModeRegistry([("a", 1.0, 6), ("b", 1.0, 3)])
+    with pytest.raises(DimensionMismatch, match=f"dims {dims} on mode 'b', which has 4 levels"):
+        make_coherent(reg, {"b": state})
+
+
 def test_to_density_properties():
     reg = ModeRegistry([("a", 1.0, 14)])
     rho = to_density(make_coherent(reg, {"a": 0.8}))

@@ -18,6 +18,7 @@ from fconv import (
     apply_loss,
     coherent_gaussian,
     gaussian_apply,
+    make_fock,
     gaussian_mean_photon,
     gaussian_quadrature_variance,
     make_coherent,
@@ -26,7 +27,7 @@ from fconv import (
     moments_from_fock,
     quadrature_variance,
 )
-from fconv.gaussian import _fold, _heisenberg, _moment_map, _step, _symplectic
+from fconv.gaussian import _fold, _heisenberg, _moment_map, _step, _symplectic, gaussian_sweep
 
 from dense_reference import reference_symplectic
 
@@ -328,3 +329,12 @@ def test_quadrature_variance_matches_fock(phase):
     for mode in ("s", "i"):
         want = quadrature_variance(f, mode, phase)
         assert abs(gaussian_quadrature_variance(g, mode, phase) - want) < 1e-9
+
+
+def test_gaussian_sweep_refuses_a_fock_state_input_naming_its_mode():
+    reg = ModeRegistry([("pump", 2.0, 1), ("idler", 1.0, 1)])
+    pump = make_fock(ModeRegistry([("pump", 2.0, 1)]), [1])
+    points = [((Converter("pump", "idler", 0.3),), {"idler": 0.2}),
+              ((Converter("pump", "idler", 0.3),), {"idler": 0.2, "pump": pump})]
+    with pytest.raises(NonGaussianDevice, match="Fock-state input on mode 'pump'"):
+        gaussian_sweep(reg, points, [("photons", "idler")])
