@@ -255,6 +255,10 @@ def parse_args(argv) -> RunConfig:
     s_max = params.get("s_max", 1.0)  # linspace(0, s_max, points) must strictly increase
     if not (s_max > 0.0 or s_max == 0.0 and params["points"] == 1):
         raise ValueError(f"--s-max must be > 0, or be 0 with --points 1, got {s_max}")
+    alpha_s = params.get("alpha_s", [1.0])  # depletion's abscissa
+    ordered = sorted(set(alpha_s))  # strictly monotone: alpha_s is this or its reverse
+    if ordered[0] <= 0.0 or ordered not in (alpha_s, alpha_s[::-1]):
+        raise ValueError(f"--alpha-s must be > 0 and strictly monotone, got {_shown(alpha_s)}")
     if not 0.0 <= params.get("theta_eff", 0.0) <= 1.0:
         raise ValueError(f"theta_eff must lie in [0, 1], got {params['theta_eff']}")
     return RunConfig(ns.experiment, backend, params, output)

@@ -45,6 +45,7 @@ sweep runs a scan's points in turn, sharing the process-wide caches
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -52,6 +53,7 @@ import numpy as np
 
 from .errors import CutoffTooSmall
 from .fock import (
+    PureState,
     State,
     annihilation_matrix,
     apply_loss,
@@ -417,15 +419,35 @@ def apply_device(state: State, dev: Device) -> State:
 # the Fock backend's space and sweep (see `experiments._backend`)
 
 
-def fock_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
-    """Every mode cut at the coherent tail of the total amplitude or, given a
-    squeeze, at its vacuum pair tail, to 1e-10 since the Fock variance reads it.
+def bind_reads(table, reads, backend: str) -> list:
+    """(function, args) of each read, its kind looked up in ``table``, the reads a
+    backend takes; an unknown kind is refused in one line before any point runs."""
+    for kind, *_ in reads:
+        if kind not in table:
+            raise ValueError(f"the {backend} backend takes no {kind!r} read; "
+                             f"it takes {', '.join(map(repr, table))}")
+    return [(table[kind], args) for kind, *args in reads]
 
-    Converters, attenuators and the trilinear coupler never add photons, so the
-    tail of sqrt(sum |alpha|^2) bounds every mode they reach; amplifiers keep
-    their pair tail."""
-    c = (coherent_required_cutoff(alpha) if squeeze is None
-         else amplifier_required_cutoff(squeeze, tail_tol=1e-10))
+
+def fock_space(modes, points) -> ModeRegistry:
+    """Every mode cut at the vacuum pair tail of the largest squeeze, to 1e-10 since
+    the Fock variance reads it, if any point holds an amplifier, else at the coherent
+    tail of the largest total input amplitude sqrt(sum |alpha|^2) over the points.
+
+    Converters, attenuators and the trilinear coupler never add photons, so that
+    tail bounds every mode they reach.  A Fock-state input, whose own level count
+    sets its mode's box, is refused: its runner builds its own registry."""
+    for _, inputs in points:
+        for label, a in inputs.items():
+            if isinstance(a, PureState):
+                raise ValueError(f"fock_space sizes coherent inputs only: the Fock-state "
+                                 f"input on mode {label!r} sets its own cutoff")
+    amps = [abs(d.squeeze) for devs, _ in points for d in devs if isinstance(d, Amplifier)]
+    if amps:
+        c = amplifier_required_cutoff(max(amps), tail_tol=1e-10)
+    else:
+        c = coherent_required_cutoff(max(
+            (math.hypot(*map(abs, inputs.values())) for _, inputs in points), default=0.0))
     return ModeRegistry([(label, f, c) for label, f in modes])
 
 
@@ -436,9 +458,10 @@ def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     circuit's blocks are freed before the next circuit builds its own."""
     read = {"photons": mean_photon, "variance": quadrature_variance, "fidelity":
             lambda state, modes, target: fidelity_pure_mixed(target, reduced_density(state, modes))}
+    calls = bind_reads(read, reads, "Fock")
 
     def take(state):  # the output state is dropped once its reads are taken
-        return [read[kind](state, *args) for kind, *args in reads]
+        return [f(state, *args) for f, args in calls]
 
     out = np.empty((len(points), len(reads)))
     devices = alphas = None

@@ -1,9 +1,9 @@
 """Deterministic scenario runners: each one rebuilds a figure-level claim of
 coherent frequency down-conversion as a desk-scale numerical scan.
 
-All runners are deterministic and return a ScanResult.  Each names its modes
-and photon budget, which its backend's `space` sizes, and hands the backend's
-`sweep` every point of its scan at once, not point by point (see `_backend`).
+All runners are deterministic and return a ScanResult.  Each builds its scan's
+points, hands them with its modes to its backend's `space`, which sizes the
+registry, and then hands the backend's `sweep` every point at once (see `_backend`).
 Gaussian CSVs record no cutoffs.
 """
 
@@ -79,12 +79,13 @@ class WdmSpec:
 
 
 def _backend(name: str):
-    """(space, sweep) of one backend: space(modes, alpha=0.0, squeeze=None) is the
-    registry of (label, frequency) pairs for a photon budget, and
+    """(space, sweep) of one backend: space(modes, points) is the registry of
+    (label, frequency) pairs sized for the points the sweep will run, and
     sweep(registry, points, reads) the points x reads array of a scan, each point
     (devices, {label: input}) with a coherent amplitude (or, on Fock, a one-mode
-    PureState) per listed mode, vacuum elsewhere, and each read ("photons", mode),
-    ("variance", mode, phase) or, on Fock, ("fidelity", modes, pure target).
+    PureState, whose registry its runner builds) per listed mode, vacuum elsewhere,
+    and each read ("photons", mode), ("variance", mode, phase) or, on Fock,
+    ("fidelity", modes, pure target); any other read is refused before a point runs.
 
     This is the one place that names a backend; each backend module owns its
     space and sweep.  The sweeps read the functions they call from their module's
@@ -140,9 +141,9 @@ def run_linearity(
         raise ValueError("noise_floor must be >= 0")
 
     space, sweep = _backend(backend)
-    registry = space([("pump", 2.0), ("idler", 1.0)], alpha_pump)
     conv, pump = Converter("pump", "idler", theta), {"pump": alpha_pump}
     points = [((Attenuator("pump", T), conv), pump) for T in ts]
+    registry = space([("pump", 2.0), ("idler", 1.0)], points)
     return ScanResult(
         abscissa_label="transmission",
         column_labels=("idler_mean_photons",),
@@ -174,10 +175,9 @@ def run_fringe(
     """
     space, sweep = _backend(backend)
     phis = [float(p) for p in phi_p_points]
-    total = np.hypot(abs(alpha_pump), abs(alpha_ref))  # one photon budget for all three modes
-    registry = space([("pump", 2.0), ("idler", 1.0), ("ref", 1.0)], total)
     devices = (Converter("pump", "idler", theta, phi_s), Converter("idler", "ref", np.pi / 4))
     points = [(devices, {"pump": alpha_pump * np.exp(1j * p), "ref": alpha_ref}) for p in phis]
+    registry = space([("pump", 2.0), ("idler", 1.0), ("ref", 1.0)], points)
     return ScanResult(
         abscissa_label="pump_phase",
         column_labels=("combined_mean_photons",),
@@ -227,14 +227,15 @@ def run_noise_comparison(strength_points, backend: str = "gaussian") -> ScanResu
     if not all(s >= 0 for s in ss):
         raise ValueError("strengths must be >= 0")
 
-    reg_conv = space([("pump", 2.0), ("idler", 1.0)])  # vacuum stays vacuum
-    reg_amp = space([("signal", 1.2), ("idler", 0.8)], squeeze=max(ss, default=0.0))
     vacuum, idler = {}, ("variance", "idler", 0.0)
+    conv_points = [((Converter("pump", "idler", s),), vacuum) for s in ss]
+    amp_points = [((Amplifier("signal", "idler", s),), vacuum) for s in ss]
+    reg_conv = space([("pump", 2.0), ("idler", 1.0)], conv_points)  # vacuum stays vacuum
+    reg_amp = space([("signal", 1.2), ("idler", 0.8)], amp_points)
     # one device per point, each freed once run: one device's blocks are held at
     # a time, and the chain walks of each box are cached across its points
-    conv = sweep(reg_conv, [((Converter("pump", "idler", s),), vacuum) for s in ss], [idler])
-    amp = sweep(reg_amp, [((Amplifier("signal", "idler", s),), vacuum) for s in ss],
-                [idler, ("photons", "idler")])
+    conv = sweep(reg_conv, conv_points, [idler])
+    amp = sweep(reg_amp, amp_points, [idler, ("photons", "idler")])
 
     return ScanResult(
         abscissa_label="strength",

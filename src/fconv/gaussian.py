@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import Attenuator, Device, heisenberg_uv
+from .devices import Attenuator, Device, bind_reads, heisenberg_uv
 from .errors import NonGaussianDevice
 from .fock import PureState
 from .registry import ModeRegistry
@@ -190,8 +190,8 @@ def gaussian_quadrature_variance(state: GaussianState, mode: str, phase: float):
 # the Gaussian backend's space and sweep (see `experiments._backend`)
 
 
-def gaussian_space(modes, alpha=0.0, squeeze=None) -> ModeRegistry:
-    """Moments need no Fock box: every cutoff is 1, and no code reads it."""
+def gaussian_space(modes, points) -> ModeRegistry:
+    """Moments need no Fock box: every cutoff is 1 whatever the points; no code reads it."""
     return ModeRegistry([(label, f, 1) for label, f in modes])
 
 
@@ -200,6 +200,8 @@ def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     into one means array; each device position is one moment map, shared if every
     point holds the same device object and stacked over the points otherwise; one
     affine step moves the stack, and each read is one call over it."""
+    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
+    calls = bind_reads(read, reads, "Gaussian")
     out = np.empty((len(points), len(reads)))
     if not points:
         return out
@@ -212,7 +214,6 @@ def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
         if any(isinstance(a, PureState) for a in alphas):
             raise NonGaussianDevice(f"a Fock-state input on mode {label!r} is not Gaussian")
     state = _step(coherent_gaussian(registry, amplitudes), _fold(registry, positions))
-    read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
-    for j, (kind, *args) in enumerate(reads):
-        out[:, j] = read[kind](state, *args)
+    for j, (f, args) in enumerate(calls):
+        out[:, j] = f(state, *args)
     return out

@@ -433,6 +433,7 @@ def test_config_value_errors_name_the_rule(config, experiment, rule, tmp_path):
 
 T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
 S_MAX_RANGE = "--s-max must be > 0, or be 0 with --points 1, got"
+ALPHA_S_RANGE = "--alpha-s must be > 0 and strictly monotone, got"
 
 
 @pytest.mark.parametrize(
@@ -458,6 +459,11 @@ S_MAX_RANGE = "--s-max must be > 0, or be 0 with --points 1, got"
         (["noise", "--s-max", "0"], f"{S_MAX_RANGE} 0.0"),
         # unchecked, the runner's "strengths must be >= 0", which names no flag
         (["noise", "--s-max", "-0.5"], f"{S_MAX_RANGE} -0.5"),
+        # unchecked, every point runs before "abscissa must be strictly monotone"
+        (["depletion", "--alpha-s", "2", "2"], f"{ALPHA_S_RANGE} 2.0 2.0"),
+        (["depletion", "--alpha-s", "2", "4", "3"], f"{ALPHA_S_RANGE} 2.0 4.0 3.0"),
+        # unchecked, the runner's "signal amplitudes must be > 0", which names no flag
+        (["depletion", "--alpha-s", "0"], f"{ALPHA_S_RANGE} 0.0"),
     ],
     ids=[
         "theta-eff",
@@ -472,6 +478,9 @@ S_MAX_RANGE = "--s-max must be > 0, or be 0 with --points 1, got"
         "t-min-1-with-points",
         "zero-s-max",
         "negative-s-max",
+        "repeated-alpha-s",
+        "non-monotone-alpha-s",
+        "zero-alpha-s",
     ],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):

@@ -466,6 +466,58 @@ def test_gaussian_runs_call_no_fock_cutoff_rule(monkeypatch):
             run("fock")
 
 
+def test_space_sizes_the_box_from_the_points():
+    from fconv.devices import amplifier_required_cutoff
+
+    fock, _ = fconv.experiments._backend("fock")
+    gaussian, _ = fconv.experiments._backend("gaussian")
+    modes, conv = [("a", 2.0), ("b", 1.0)], (Converter("a", "b", 0.3),)
+
+    def cutoffs(space, points):
+        return space(modes, points).cutoffs
+
+    # coherent inputs only: the coherent tail of the largest per-point total amplitude
+    coherent = [(conv, {"a": 1.0}), ((Attenuator("a", 0.5),) + conv, {"a": 3.0, "b": -4j})]
+    assert cutoffs(fock, coherent) == (coherent_required_cutoff(5.0),) * 2
+    # any amplifier: the 1e-10 pair tail of the largest squeeze, whatever the amplitudes
+    amplified = coherent + [((Amplifier("a", "b", s),), {}) for s in (0.2, 0.7, 0.4)]
+    assert cutoffs(fock, amplified) == (amplifier_required_cutoff(0.7, tail_tol=1e-10),) * 2
+    # no points, or only vacuum inputs: nothing to hold
+    assert cutoffs(fock, []) == cutoffs(fock, [(conv, {}), ((), {"a": 0.0})]) == (1, 1)
+    for points in ([], coherent, amplified):
+        assert cutoffs(gaussian, points) == (1, 1)
+
+
+def test_fock_space_refuses_a_fock_state_input_naming_its_mode():
+    fock, _ = fconv.experiments._backend("fock")
+    state = make_fock(ModeRegistry([("x", 1.0, 2)]), [2])
+    points = [((), {"a": 1.0}), ((), {"a": 1.0, "b": state})]
+    with pytest.raises(ValueError, match="^fock_space sizes coherent inputs only: the "
+                                         "Fock-state input on mode 'b' sets its own cutoff$"):
+        fock([("a", 2.0), ("b", 1.0)], points)
+
+
+@pytest.mark.parametrize(
+    "backend, read, message",
+    [
+        ("fock", ("photon", "a"),
+         "the Fock backend takes no 'photon' read; it takes 'photons', 'variance', 'fidelity'"),
+        ("gaussian", ("photon", "a"),
+         "the Gaussian backend takes no 'photon' read; it takes 'photons', 'variance'"),
+        ("gaussian", ("fidelity", ("a",), None),
+         "the Gaussian backend takes no 'fidelity' read; it takes 'photons', 'variance'"),
+    ],
+    ids=["fock-photon", "gaussian-photon", "gaussian-fidelity"],
+)
+def test_sweep_refuses_an_unknown_read_before_any_point_runs(backend, read, message):
+    _, sweep = fconv.experiments._backend(backend)
+    reg = ModeRegistry([("a", 1.0, 1), ("b", 1.0, 1)])
+    # the point names a mode the registry lacks: running it would raise UnknownMode
+    points = [((Converter("a", "z", 0.3),), {"a": 1.0})]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(reg, points, [("photons", "a"), read])
+
+
 # ---------------------------------------------------------------------------
 # depletion convergence
 
