@@ -434,9 +434,12 @@ def fock_space(modes, points) -> ModeRegistry:
     the Fock variance reads it, if any point holds an amplifier, else at the coherent
     tail of the largest total input amplitude sqrt(sum |alpha|^2) over the points.
 
-    Converters, attenuators and the trilinear coupler never add photons, so that
-    tail bounds every mode they reach.  A Fock-state input, whose own level count
-    sets its mode's box, is refused: its runner builds its own registry."""
+    Converters, attenuators and the trilinear coupler keep every mode under that
+    tail: a conserved pair charge, n_a + n_b for a converter, n_p + n_s and n_p + n_i
+    for the coupler (which turns a pump photon into a signal and an idler photon),
+    bounds each mode and holds at most the total input photons; loss only lowers it.
+    A Fock-state input, whose own level count sets its mode's box, is refused: its
+    runner builds its own registry."""
     for _, inputs in points:
         for label, a in inputs.items():
             if isinstance(a, PureState):

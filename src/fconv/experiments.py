@@ -65,11 +65,11 @@ class WdmSpec:
         chans = tuple((float(f), float(t), float(p)) for f, t, p in self.channels)
         if len(chans) < 1:
             raise ValueError("need at least one WDM channel")
-        for f, _, _ in chans:
-            if self.pump_frequency - f <= 0:
+        for f, _, _ in chans:  # nan fails every < too
+            if not 0 < f < self.pump_frequency < np.inf:
                 raise EnergyConservationViolation(
-                    f"signal frequency {f} leaves non-positive idler frequency "
-                    f"{self.pump_frequency - f} (pump {self.pump_frequency})"
+                    f"signal frequency {f} must lie strictly between 0 and a finite pump "
+                    f"frequency, got pump {self.pump_frequency}"
                 )
         object.__setattr__(self, "channels", chans)
 

@@ -114,12 +114,14 @@ def make_vacuum(registry: ModeRegistry) -> PureState:
 
 
 def make_fock(registry: ModeRegistry, occupations) -> PureState:
-    occupations = [int(n) for n in occupations]
+    occupations = list(occupations)
     if len(occupations) != registry.num_modes:
         raise DimensionMismatch(
             f"{len(occupations)} occupations for {registry.num_modes} modes"
         )
     for n, mode in zip(occupations, registry.modes):
+        if not float(n).is_integer():
+            raise ValueError(f"mode {mode.label!r}: occupation must be an integer, got {n}")
         if n < 0:
             raise ValueError(f"negative occupation {n} on mode {mode.label!r}")
         if n > mode.cutoff:

@@ -70,48 +70,27 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict) -> GaussianState:
     return GaussianState(registry, means, VACUUM_VARIANCE * np.eye(n))
 
 
-def _heisenberg(devs):
-    """(U, V) of one device, or of a list of devices of one kind, stacked over the
-    list; refused for a device that has none."""
+def _local_map(devs):
+    """(X, Y) over the (x, p) rows of one device's modes, or stacked over a list of one
+    kind: loss at transmission T scales each quadrature by sqrt(T) and adds (1 - T)/4;
+    a unitary a -> U a + V a^dag adds nothing (Y None), and with a = x + i p takes
+    x -> Re(U + V) x - Im(U - V) p and p -> Im(U + V) x + Re(U - V) p."""
+    stacked = isinstance(devs, list)
+    dev = devs[0] if stacked else devs
+    if isinstance(dev, Attenuator):
+        T = np.asarray([d.transmission for d in devs] if stacked else dev.transmission)
+        T = T[..., None, None]  # one 2 x 2 block per device
+        return np.sqrt(T) * np.eye(2), (1.0 - T) * VACUUM_VARIANCE * np.eye(2)
     uv = heisenberg_uv(devs)
     if uv is None:
-        dev = devs[0] if isinstance(devs, list) else devs
         raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
-    return uv
-
-
-def _eye(registry: ModeRegistry, lead: tuple) -> np.ndarray:
-    """A writable 2M x 2M identity for each index of the leading axes ``lead``."""
-    n = 2 * registry.num_modes
-    return np.broadcast_to(np.eye(n), lead + (n, n)).copy()
-
-
-def _symplectic(registry: ModeRegistry, modes, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """2M x 2M quadrature transfer matrix of a -> U a + V a^dag over ``modes``, the
-    identity on every other mode; U and V may carry leading point axes, and so does S.
-
-    With a = x + i p, x -> Re(U + V) x - Im(U - V) p and p -> Im(U + V) x + Re(U - V) p.
-    """
-    P, Q = U + V, U - V
-    k = 2 * U.shape[-1]
+    U, V = uv
+    P, Q, k = U + V, U - V, 2 * U.shape[-1]
     B = np.empty(U.shape[:-2] + (k, k))
     B[..., ::2, ::2], B[..., ::2, 1::2], B[..., 1::2, ::2], B[..., 1::2, 1::2] = (
         P.real, -Q.imag, P.imag, Q.real
     )
-    q = np.array([2 * registry.index(m) + j for m in modes for j in (0, 1)])  # x, p rows
-    S = _eye(registry, U.shape[:-2])
-    S[..., q[:, None], q] = B
-    return S
-
-
-def _loss_map(registry: ModeRegistry, mode: str, T) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) of pure loss on ``mode`` at transmission T, a number or an array over points."""
-    m, T = registry.index(mode), np.asarray(T)
-    X = _eye(registry, T.shape)
-    X[..., 2 * m, 2 * m] = X[..., 2 * m + 1, 2 * m + 1] = np.sqrt(T)
-    Y = np.zeros_like(X)
-    Y[..., 2 * m, 2 * m] = Y[..., 2 * m + 1, 2 * m + 1] = (1.0 - T) * VACUUM_VARIANCE
-    return X, Y
+    return B, None
 
 
 def _moment_map(registry: ModeRegistry, devs):
@@ -119,22 +98,23 @@ def _moment_map(registry: ModeRegistry, devs):
 
     ``devs`` is one device, or a list of one device per point, whose maps stack
     on a leading point axis: the devices of one kind on the same modes are
-    mapped in one call, with their (U, V) or transmissions stacked.
+    mapped in one call, and each such group's local blocks are written over the
+    identity on its modes' (x, p) rows.
     """
-    if not isinstance(devs, list):
-        if isinstance(devs, Attenuator):
-            return _loss_map(registry, devs.mode, devs.transmission)
-        return _symplectic(registry, devs.modes, *_heisenberg(devs)), None
+    stacked = isinstance(devs, list)
     kinds = {}
-    for i, dev in enumerate(devs):
+    for i, dev in enumerate(devs if stacked else [devs]):
         kinds.setdefault((type(dev), dev.modes), []).append(i)
-    X, Y = _eye(registry, (len(devs),)), None
-    for (kind, modes), at in kinds.items():
-        if issubclass(kind, Attenuator):
+    n, lead = 2 * registry.num_modes, (len(devs),) if stacked else ()
+    X, Y = np.broadcast_to(np.eye(n), lead + (n, n)).copy(), None
+    for (_, modes), at in kinds.items():
+        B, C = _local_map([devs[i] for i in at] if stacked else devs)
+        q = np.array([2 * registry.index(m) + j for m in modes for j in (0, 1)])  # x, p rows
+        rows = (np.array(at)[:, None, None], q[:, None], q) if stacked else (q[:, None], q)
+        X[rows] = B
+        if C is not None:
             Y = np.zeros_like(X) if Y is None else Y
-            X[at], Y[at] = _loss_map(registry, modes[0], [devs[i].transmission for i in at])
-        else:
-            X[at] = _symplectic(registry, modes, *_heisenberg([devs[i] for i in at]))
+            Y[rows] = C
     return X, Y
 
 

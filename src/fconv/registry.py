@@ -23,20 +23,24 @@ class Mode:
     frequency: float
     cutoff: int
 
+    def __post_init__(self):
+        # an integral cutoff (2.0 or a numpy int) is kept as an int, and 2.7 is refused
+        # rather than cut; nan fails both checks, as it fails every comparison
+        if not (float(self.cutoff).is_integer() and self.cutoff >= 1):
+            raise ValueError(f"mode {self.label!r}: cutoff {self.cutoff} is not an integer >= 1")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"mode {self.label!r}: frequency {self.frequency} is outside (0, inf)")
+        object.__setattr__(self, "cutoff", int(self.cutoff))
+
 
 class ModeRegistry:
     """Ordered set of optical modes with labels, frequencies and Fock cutoffs."""
 
     def __init__(self, modes: Sequence[tuple[str, float, int]]):
-        parsed = [Mode(str(l), float(f), int(c)) for (l, f, c) in modes]
+        parsed = [Mode(str(l), float(f), c) for (l, f, c) in modes]
         labels = [m.label for m in parsed]
         if len(set(labels)) != len(labels):
             raise ValueError(f"mode labels must be unique, got {labels}")
-        for m in parsed:
-            if m.cutoff < 1:
-                raise ValueError(f"mode {m.label!r}: cutoff must be >= 1, got {m.cutoff}")
-            if m.frequency <= 0:
-                raise ValueError(f"mode {m.label!r}: frequency must be > 0, got {m.frequency}")
         self.modes = tuple(parsed)
         self._index = {m.label: i for i, m in enumerate(self.modes)}
         self.labels = tuple(labels)

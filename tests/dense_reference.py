@@ -12,9 +12,10 @@ with its own phase, as a per-block formula.
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
 `dense_quadrature_variance` and `dense_moments` multiply by the (d, d) matrix.
-`fconv.gaussian._symplectic` forms every Gaussian device's quadrature map
-from its ``heisenberg`` (U, V); `reference_symplectic` writes the passive devices
-from their mode matrix and the amplifier by hand, 2 x 2 block by block.
+`fconv.gaussian._local_map` forms every unitary Gaussian device's quadrature
+block from its ``heisenberg`` (U, V), and `fconv.gaussian._moment_map` writes it
+over the identity; `reference_symplectic` writes the passive devices from their
+mode matrix and the amplifier by hand, 2 x 2 block by block.
 """
 
 import numpy as np

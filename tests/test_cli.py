@@ -434,6 +434,8 @@ def test_config_value_errors_name_the_rule(config, experiment, rule, tmp_path):
 T_MIN_RANGE = "--t-min must lie in (0, 1), or be 1 with --points 1, got"
 S_MAX_RANGE = "--s-max must be > 0, or be 0 with --points 1, got"
 ALPHA_S_RANGE = "--alpha-s must be > 0 and strictly monotone, got"
+WDM_SIGNAL_RANGE = ("signal frequency %s must lie strictly between 0 and a finite pump frequency, "
+                    "got pump 2.0")
 
 
 @pytest.mark.parametrize(
@@ -464,6 +466,9 @@ ALPHA_S_RANGE = "--alpha-s must be > 0 and strictly monotone, got"
         (["depletion", "--alpha-s", "2", "4", "3"], f"{ALPHA_S_RANGE} 2.0 4.0 3.0"),
         # unchecked, the runner's "signal amplitudes must be > 0", which names no flag
         (["depletion", "--alpha-s", "0"], f"{ALPHA_S_RANGE} 0.0"),
+        # unchecked, each wrote an idler at or above the 2.0 pump and exited 0
+        (["wdm", "--channel", "0:0.1"], WDM_SIGNAL_RANGE % 0.0),
+        (["wdm", "--channel=-1:0.1"], WDM_SIGNAL_RANGE % -1.0),
     ],
     ids=[
         "theta-eff",
@@ -481,6 +486,8 @@ ALPHA_S_RANGE = "--alpha-s must be > 0 and strictly monotone, got"
         "repeated-alpha-s",
         "non-monotone-alpha-s",
         "zero-alpha-s",
+        "zero-wdm-signal",
+        "negative-wdm-signal",
     ],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):

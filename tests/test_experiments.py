@@ -107,13 +107,13 @@ def test_fringe_builds_each_unitary_once_per_scan(unitary_builds):
 
 def test_gaussian_fringe_builds_each_symplectic_once_per_scan(monkeypatch):
     built = []
-    original = fconv.gaussian._symplectic
+    original = fconv.gaussian._local_map
 
-    def counting(registry, modes, U, V):
-        built.append(modes)
-        return original(registry, modes, U, V)
+    def counting(devs):
+        built.append(devs)
+        return original(devs)
 
-    monkeypatch.setattr(fconv.gaussian, "_symplectic", counting)
+    monkeypatch.setattr(fconv.gaussian, "_local_map", counting)
     phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     run_fringe(phis, 0.8, 0.3, 0.7, 0.2, backend="gaussian")
     assert len(built) == 2
@@ -176,19 +176,19 @@ def test_gaussian_sweep_is_the_per_point_compiled_circuit(scan):
 
 def test_gaussian_sweep_maps_each_shared_device_once(monkeypatch):
     built = []
-    original = fconv.gaussian._symplectic
+    original = fconv.gaussian._local_map
 
-    def counting(registry, modes, U, V):
-        built.append(U.shape)
-        return original(registry, modes, U, V)
+    def counting(devs):
+        built.append(len(devs) if isinstance(devs, list) else 1)
+        return original(devs)
 
-    monkeypatch.setattr(fconv.gaussian, "_symplectic", counting)
+    monkeypatch.setattr(fconv.gaussian, "_local_map", counting)
     reg = ModeRegistry([("a", 1.0, 1), ("b", 1.0, 1)])
     shared, alphas = Converter("a", "b", 0.3), {"a": 1.0}
     points = [((shared, Amplifier("a", "b", s)), alphas) for s in (0.1, 0.2, 0.3)]
     fconv.experiments._backend("gaussian")[1](reg, points, [("photons", "b")])
     # one call for the shared converter, one for the three amplifiers' stacked (U, V)
-    assert built == [(2, 2), (3, 2, 2)]
+    assert built == [1, 3]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the check
@@ -748,5 +748,9 @@ def test_wdm_200_channels_product_rule_in_little_memory():
 
 
 def test_wdm_energy_conservation_guard():
-    with pytest.raises(EnergyConservationViolation):
-        WdmSpec(1.0, ((1.2, 0.5, 0.0),))
+    # every signal frequency lies strictly between 0 and a finite pump frequency;
+    # unchecked, a signal at 0 or below left an idler at or above the pump
+    for pump, signal in [(1.0, 1.2), (2.0, 2.0), (2.0, 0.0), (2.0, -1.0),
+                         (np.nan, 0.5), (2.0, np.nan), (np.inf, 0.5)]:
+        with pytest.raises(EnergyConservationViolation, match=f"signal frequency {signal}"):
+            WdmSpec(pump, ((signal, 0.5, 0.0),))

@@ -73,6 +73,12 @@ def test_registry_rejects_bad_modes():
         ModeRegistry([("a", 1.0, 0)])
     with pytest.raises(ValueError):
         ModeRegistry([("a", -1.0, 2)])
+    # unchecked, nan and inf frequencies passed and a cutoff of 2.7 was cut to 2
+    for freq, cutoff in [(np.nan, 2), (np.inf, 2), (1.0, 2.7), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ValueError, match="mode 'a'"):
+            ModeRegistry([("a", freq, cutoff)])
+    # integral floats and numpy ints still pass
+    assert ModeRegistry([("a", 1.0, 2.0), ("b", np.float64(2.0), np.int64(3))]).cutoffs == (2, 3)
     with pytest.raises(ValueError):
         ModeRegistry([("a", 1.0, 2), ("a", 2.0, 2)])
     with pytest.raises(UnknownMode):
@@ -108,6 +114,10 @@ def test_make_fock():
     s = make_fock(reg, [1, 0, 0])
     assert s.amplitudes[reg.flat_index([1, 0, 0])] == 1.0
     assert np.allclose(make_fock(reg, [0, 0, 0]).amplitudes, make_vacuum(reg).amplitudes)
+    assert np.array_equal(make_fock(reg, [1.0, np.int64(0), 0]).amplitudes, s.amplitudes)
+    for bad in (1.5, np.nan, np.inf):  # unchecked, int() cut 1.5 to |1>
+        with pytest.raises(ValueError, match=f"mode 'a': occupation must be an integer, got {bad}"):
+            make_fock(reg, [bad, 0, 0])
 
 
 def test_make_fock_over_cutoff():

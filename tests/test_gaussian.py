@@ -27,14 +27,15 @@ from fconv import (
     moments_from_fock,
     quadrature_variance,
 )
-from fconv.gaussian import _fold, _heisenberg, _moment_map, _step, _symplectic, gaussian_sweep
+from fconv.devices import heisenberg_uv
+from fconv.gaussian import _fold, _local_map, _moment_map, _step, gaussian_sweep
 
 from dense_reference import reference_symplectic
 
 
 def device_symplectic(registry, dev):
     """2M x 2M quadrature transfer matrix of one unitary Gaussian device."""
-    return _symplectic(registry, dev.modes, *_heisenberg(dev))
+    return _moment_map(registry, dev)[0]
 
 
 def symplectic_form(num_modes):
@@ -270,11 +271,16 @@ def test_heisenberg_map_keeps_the_commutators(dev):
 )
 def test_devices_without_heisenberg_map_have_no_symplectic(dev):
     reg = ModeRegistry([(m, 1.0, 2) for m in _MODES])
-    for symplectic in (device_symplectic, reference_symplectic):
-        with pytest.raises(NonGaussianDevice):
-            symplectic(reg, dev)
-    with pytest.raises(NonGaussianDevice, match=type(dev).__name__):
-        _heisenberg([dev, dev])  # the stacked lookup refuses it too
+    assert heisenberg_uv(dev) is None and heisenberg_uv([dev, dev]) is None
+    with pytest.raises(NonGaussianDevice):
+        reference_symplectic(reg, dev)
+    if isinstance(dev, Attenuator):  # no (U, V), but the loss channel's local map
+        assert _local_map(dev)[1] is not None
+        return
+    for refuse in (lambda: _local_map(dev), lambda: _local_map([dev, dev]),
+                   lambda: gaussian_apply(coherent_gaussian(reg, {}), dev)):
+        with pytest.raises(NonGaussianDevice, match=type(dev).__name__):
+            refuse()
 
 
 @pytest.mark.parametrize(
