@@ -218,9 +218,21 @@ def _typed(path: str, key: str, kind, val):
     raise ValueError(f"config {path!r}: {key!r} must be {what}, got {val!r}")
 
 
+def _joined_channels(argv) -> list[str]:
+    """Each ``--channel VALUE`` as ``--channel=VALUE``: argparse takes a VALUE that
+    starts with '-', such as -1:0.1, for an option, not for the flag's value."""
+    args = []
+    for arg in argv:
+        if args and args[-1] == "--channel":
+            args[-1] += "=" + arg
+        else:
+            args.append(arg)
+    return args
+
+
 def parse_args(argv) -> RunConfig:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_joined_channels(argv))
     if ns.experiment is None:
         parser.error("missing experiment subcommand (one of: " + ", ".join(EXPERIMENTS) + ")")
 

@@ -2,9 +2,9 @@
 
 Three interactions drive everything.  Each Gaussian device (the first two, and
 PhaseShift, a -> e^{i phi} a) states its Heisenberg action a -> U a + V a^dag
-over its ``modes`` once, as a formula (U, V) of its fields that also takes arrays
-over the points of a sweep, named by its class's ``_uv``, which `heisenberg_uv`
-reads for one device (its property ``heisenberg``) or for a list of one kind:
+over its ``modes`` once, as a formula (U, V) of its fields taken as arrays,
+named by its class's ``_uv``; `heisenberg_uv` reads it for a list of devices of
+one kind, stacked on a leading axis (one device is a list of one):
 
   * Converter -- pump/idler exchange with a strong classical signal field
     (theta = coupling * interaction time, phi_s the drive phase):
@@ -79,10 +79,9 @@ def _check(dev, phase: str, strength: str | None = None) -> None:
         raise ValueError(f"{type(dev).__name__} modes must be distinct")
 
 
-# Each Gaussian device's (U, V), from its fields as numbers, or as arrays over the
-# points of a sweep, which stack (U, V) over them.  Each Gaussian device class
-# names its formula and the fields it takes, in order, as ``_uv``, which a
-# subclass inherits.
+# Each Gaussian device's (U, V), from its fields as arrays over a list of devices,
+# which stack (U, V) over them.  Each Gaussian device class names its formula and
+# the fields it takes, in order, as ``_uv``, which a subclass inherits.
 
 
 def _converter_uv(theta, phi_s):
@@ -107,16 +106,12 @@ def _phase_uv(phi):
 
 
 def heisenberg_uv(devs):
-    """(U, V) over the modes of one device, or of a list of devices of one kind,
-    stacked over the list by one call of its formula; None for a device that has
-    no (U, V)."""
-    one = not isinstance(devs, list)
-    uv = getattr(devs if one else devs[0], "_uv", None)
+    """(U, V) over the modes of each of a list of devices of one kind, stacked on a
+    leading axis by one call of its formula; None for a kind that has no (U, V)."""
+    uv = getattr(devs[0], "_uv", None)
     if uv is None:
         return None
     formula, fields = uv
-    if one:
-        return formula(*[getattr(devs, f) for f in fields])
     return formula(*[np.array([getattr(dev, f) for dev in devs]) for f in fields])
 
 
@@ -140,12 +135,6 @@ class Converter:
         """(step over ``modes``, coupling c) of the generator c L - c^* L^dag."""
         return (1, -1), self.theta * np.exp(1j * self.phi_s)
 
-    @property
-    def heisenberg(self):
-        """(U, V) over ``modes`` of a -> U a + V a^dag; V = 0, so single-photon
-        amplitudes c (of sum_m c_m a_m^dag |0>) go to U c."""
-        return heisenberg_uv(self)
-
 
 @dataclass(frozen=True)
 class Amplifier:
@@ -165,10 +154,6 @@ class Amplifier:
     @property
     def ladder(self):
         return (1, 1), -self.squeeze * np.exp(1j * self.phi_p)
-
-    @property
-    def heisenberg(self):
-        return heisenberg_uv(self)
 
 
 @dataclass(frozen=True)
@@ -203,10 +188,6 @@ class PhaseShift:
     @property
     def modes(self):
         return (self.mode,)
-
-    @property
-    def heisenberg(self):
-        return heisenberg_uv(self)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .devices import (
     apply_device,
     fock_space,
     fock_sweep,
+    heisenberg_uv,
 )
 from .errors import EnergyConservationViolation
 from .fock import PureState, coherent_required_cutoff, make_coherent
@@ -316,11 +317,14 @@ def run_wdm(spec: WdmSpec) -> tuple[ScanResult, np.ndarray]:
         [("pump", spec.pump_frequency, 1)]
         + [(f"idler{k}", f_i, 1) for k, f_i in enumerate(freqs, start=1)]
     )
-    # c_m of sum_m c_m a_m^dag |0>: converter k mixes the pump entry with entry k
+    # c_m of sum_m c_m a_m^dag |0>: converter k, a -> U_k a with V = 0, mixes the
+    # pump entry with entry k; one call stacks the K converters' U_k
+    U, _ = heisenberg_uv([Converter("pump", f"idler{k}", theta_k, phi_k)
+                          for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1)])
     c = np.zeros(len(freqs) + 1, dtype=complex)
     c[0] = 1.0
-    for k, (_, theta_k, phi_k) in enumerate(spec.channels, start=1):
-        c[[0, k]] = Converter("pump", f"idler{k}", theta_k, phi_k).heisenberg[0] @ c[[0, k]]
+    for k, U_k in enumerate(U, start=1):
+        c[[0, k]] = U_k @ c[[0, k]]
     total = float(np.sum(np.abs(c) ** 2))
     if not abs(total - 1.0) <= 1e-10:
         raise AssertionError(

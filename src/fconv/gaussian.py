@@ -9,11 +9,12 @@ backends.
 This ordering is stated here once and relied on everywhere; it is the single
 biggest source of silent bugs in Gaussian codes, so do not reorder.
 
-States, moment maps and observables may carry leading point axes: a scan's
-points stack into one state, each device position into one map, shared by
-every point or stacked over them, and one affine step moves the whole stack.
-A single state or device is the case with no point axis.  `gaussian_sweep`
-runs a whole scan this way, and `gaussian_space` sizes no Fock box.
+States and observables may carry leading point axes: a scan's points stack
+into one state.  Every moment map is stacked over a list of devices on a
+leading axis: a position's devices, one per point, or the one device every
+point shares as a list of one, whose axis of one broadcasts over the points.
+One affine step moves the whole stack.  `gaussian_sweep` runs a whole scan
+this way, and `gaussian_space` sizes no Fock box.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ VACUUM_VARIANCE = 0.25
 @dataclass(frozen=True)
 class GaussianState:
     """Means (..., 2M) and covariance (..., 2M, 2M).  Leading axes index the points
-    of a sweep; a covariance shared by every point carries none."""
+    of a sweep; a covariance shared by every point carries none, or an axis of one."""
 
     registry: ModeRegistry  # labels and order; this backend reads no cutoff
     means: np.ndarray
@@ -44,8 +45,11 @@ class GaussianState:
         n = 2 * self.registry.num_modes
         means = np.asarray(self.means, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if means.shape[-1:] != (n,) or cov.shape not in ((n, n), means.shape + (n,)):
-            raise ValueError(f"expected means (..., {n}) and cov ({n},{n}) or (..., {n},{n}) alike")
+        shared = ((n, n), (1, n, n)) if means.ndim > 1 else ((n, n),)
+        if means.shape[-1:] != (n,) or cov.shape not in (*shared, means.shape + (n,)):
+            raise ValueError(
+                f"expected means (..., {n}) and cov ({n},{n}), (1,{n},{n}) or (..., {n},{n}) alike"
+            )
         asymmetry = abs(cov - np.swapaxes(cov, -1, -2)).max()
         if not (np.isfinite(means).all() and asymmetry <= 1e-12):  # nan fails <=
             raise ValueError("means and covariance must be finite, cov symmetric within 1e-12")
@@ -71,19 +75,16 @@ def coherent_gaussian(registry: ModeRegistry, alphas: dict) -> GaussianState:
 
 
 def _local_map(devs):
-    """(X, Y) over the (x, p) rows of one device's modes, or stacked over a list of one
-    kind: loss at transmission T scales each quadrature by sqrt(T) and adds (1 - T)/4;
+    """(X, Y) over the (x, p) rows of a device's modes, stacked over a list of one kind:
+    loss at transmission T scales each quadrature by sqrt(T) and adds (1 - T)/4;
     a unitary a -> U a + V a^dag adds nothing (Y None), and with a = x + i p takes
     x -> Re(U + V) x - Im(U - V) p and p -> Im(U + V) x + Re(U - V) p."""
-    stacked = isinstance(devs, list)
-    dev = devs[0] if stacked else devs
-    if isinstance(dev, Attenuator):
-        T = np.asarray([d.transmission for d in devs] if stacked else dev.transmission)
-        T = T[..., None, None]  # one 2 x 2 block per device
+    if isinstance(devs[0], Attenuator):
+        T = np.array([d.transmission for d in devs])[:, None, None]  # a 2 x 2 block each
         return np.sqrt(T) * np.eye(2), (1.0 - T) * VACUUM_VARIANCE * np.eye(2)
     uv = heisenberg_uv(devs)
     if uv is None:
-        raise NonGaussianDevice(f"{type(dev).__name__} is not a Gaussian transformation")
+        raise NonGaussianDevice(f"{type(devs[0]).__name__} is not a Gaussian transformation")
     U, V = uv
     P, Q, k = U + V, U - V, 2 * U.shape[-1]
     B = np.empty(U.shape[:-2] + (k, k))
@@ -96,21 +97,20 @@ def _local_map(devs):
 def _moment_map(registry: ModeRegistry, devs):
     """(X, Y): means -> X means, cov -> X cov X^T + Y; Y is None if no device is lossy.
 
-    ``devs`` is one device, or a list of one device per point, whose maps stack
-    on a leading point axis: the devices of one kind on the same modes are
-    mapped in one call, and each such group's local blocks are written over the
-    identity on its modes' (x, p) rows.
+    ``devs`` is a list of devices, one per point or one that every point shares,
+    whose maps stack on a leading axis: the devices of one kind on the same modes
+    are mapped in one call, and each such group's local blocks are written over
+    the identity on its modes' (x, p) rows.
     """
-    stacked = isinstance(devs, list)
     kinds = {}
-    for i, dev in enumerate(devs if stacked else [devs]):
+    for i, dev in enumerate(devs):
         kinds.setdefault((type(dev), dev.modes), []).append(i)
-    n, lead = 2 * registry.num_modes, (len(devs),) if stacked else ()
-    X, Y = np.broadcast_to(np.eye(n), lead + (n, n)).copy(), None
+    n = 2 * registry.num_modes
+    X, Y = np.broadcast_to(np.eye(n), (len(devs), n, n)).copy(), None
     for (_, modes), at in kinds.items():
-        B, C = _local_map([devs[i] for i in at] if stacked else devs)
+        B, C = _local_map([devs[i] for i in at])
         q = np.array([2 * registry.index(m) + j for m in modes for j in (0, 1)])  # x, p rows
-        rows = (np.array(at)[:, None, None], q[:, None], q) if stacked else (q[:, None], q)
+        rows = (np.array(at)[:, None, None], q[:, None], q)
         X[rows] = B
         if C is not None:
             Y = np.zeros_like(X) if Y is None else Y
@@ -130,7 +130,7 @@ def _then(first, second):
 
 def _fold(registry: ModeRegistry, positions):
     """The devices at ``positions``, in order, folded into one moment map (X, Y), or
-    None for no device; each position is one device or a list of one per point."""
+    None for no device; each position is a list of devices, as `_moment_map` takes."""
     maps = [_moment_map(registry, devs) for devs in positions]
     return functools.reduce(_then, maps) if maps else None
 
@@ -144,8 +144,10 @@ def _step(state: GaussianState, channel) -> GaussianState:
 
 
 def gaussian_apply(state: GaussianState, dev: Device) -> GaussianState:
-    """Moment-level action of one device: symplectic map, or the loss CP map."""
-    return _step(state, _moment_map(state.registry, dev))
+    """Moment-level action of one device: symplectic map, or the loss CP map.  The
+    state keeps its shape: the map of the list of one drops its axis of one."""
+    X, Y = _moment_map(state.registry, [dev])
+    return _step(state, (X[0], None if Y is None else Y[0]))
 
 
 def gaussian_mean_photon(state: GaussianState, mode: str):
@@ -177,16 +179,16 @@ def gaussian_space(modes, points) -> ModeRegistry:
 
 def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     """Every point at once on the Gaussian backend.  The inputs, coherent only, stack
-    into one means array; each device position is one moment map, shared if every
-    point holds the same device object and stacked over the points otherwise; one
-    affine step moves the stack, and each read is one call over it."""
+    into one means array; each device position is one moment map, of a list of one
+    if every point holds the same device object and of one device per point
+    otherwise; one affine step moves the stack, and each read is one call over it."""
     read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
     calls = bind_reads(read, reads, "Gaussian")
     out = np.empty((len(points), len(reads)))
     if not points:
         return out
     devices, inputs = zip(*points)
-    positions = [devs[0] if all(d is devs[0] for d in devs) else list(devs)
+    positions = [list(devs[:1] if all(d is devs[0] for d in devs) else devs)
                  for devs in zip(*devices, strict=True)]  # every point holds one per position
     labels = dict.fromkeys(label for alphas in inputs for label in alphas)
     amplitudes = {label: [a.get(label, 0.0) for a in inputs] for label in labels}

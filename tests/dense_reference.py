@@ -12,10 +12,11 @@ with its own phase, as a per-block formula.
 amplitudes; `wdm_fock_cascade` runs the same cascade on every Fock state.
 `fconv.fock` applies a quadrature to a state's factor by ladder shifts;
 `dense_quadrature_variance` and `dense_moments` multiply by the (d, d) matrix.
-`fconv.gaussian._local_map` forms every unitary Gaussian device's quadrature
-block from its ``heisenberg`` (U, V), and `fconv.gaussian._moment_map` writes it
-over the identity; `reference_symplectic` writes the passive devices from their
-mode matrix and the amplifier by hand, 2 x 2 block by block.
+`fconv.gaussian._local_map` forms the quadrature blocks of a list of unitary
+Gaussian devices of one kind, stacked, from `fconv.devices.heisenberg_uv`'s
+(U, V), and `fconv.gaussian._moment_map` writes them over the identity, one
+device being a list of one; `reference_symplectic` writes one passive device
+from its mode matrix and one amplifier by hand, 2 x 2 block by block.
 """
 
 import numpy as np

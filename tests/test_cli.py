@@ -469,6 +469,8 @@ WDM_SIGNAL_RANGE = ("signal frequency %s must lie strictly between 0 and a finit
         # unchecked, each wrote an idler at or above the 2.0 pump and exited 0
         (["wdm", "--channel", "0:0.1"], WDM_SIGNAL_RANGE % 0.0),
         (["wdm", "--channel=-1:0.1"], WDM_SIGNAL_RANGE % -1.0),
+        # unchecked, argparse took -1:0.1 for an option: a usage error and exit 2
+        (["wdm", "--channel", "-1:0.1"], WDM_SIGNAL_RANGE % -1.0),
     ],
     ids=[
         "theta-eff",
@@ -488,6 +490,7 @@ WDM_SIGNAL_RANGE = ("signal frequency %s must lie strictly between 0 and a finit
         "zero-alpha-s",
         "zero-wdm-signal",
         "negative-wdm-signal",
+        "negative-wdm-signal-own-word",
     ],
 )
 def test_range_errors_name_the_parameter(argv, message, tmp_path, capsys):

@@ -106,17 +106,25 @@ def test_fringe_builds_each_unitary_once_per_scan(unitary_builds):
 
 
 def test_gaussian_fringe_builds_each_symplectic_once_per_scan(monkeypatch):
-    built = []
-    original = fconv.gaussian._local_map
+    built, states = [], []
+    original, original_step = fconv.gaussian._local_map, fconv.gaussian._step
 
     def counting(devs):
         built.append(devs)
         return original(devs)
 
+    def stepping(state, channel):
+        states.append(original_step(state, channel))
+        return states[-1]
+
     monkeypatch.setattr(fconv.gaussian, "_local_map", counting)
+    monkeypatch.setattr(fconv.gaussian, "_step", stepping)
     phis = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     run_fringe(phis, 0.8, 0.3, 0.7, 0.2, backend="gaussian")
     assert len(built) == 2
+    # the shared converters' maps keep an axis of one, so the covariance has no
+    # 64-point axis: it is formed once, not once per point
+    assert states[-1].means.shape == (64, 6) and states[-1].cov.shape == (1, 6, 6)
 
 
 def test_linearity_builds_one_unitary_per_transmission(unitary_builds):
@@ -164,10 +172,10 @@ def test_gaussian_sweep_is_the_per_point_compiled_circuit(scan):
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     read = {"photons": gaussian_mean_photon, "variance": gaussian_quadrature_variance}
     want = np.array([
-        [read[kind](_step(coherent_gaussian(reg, alphas), _fold(reg, devs)), *args)
+        [read[kind](_step(coherent_gaussian(reg, alphas), _fold(reg, [[d] for d in devs])), *args)
          for kind, *args in reads]
         for devs, alphas in points
-    ])
+    ]).reshape(len(points), len(reads))  # lists of one give each state an axis of one
     _, sweep = fconv.experiments._backend("gaussian")
     got = sweep(reg, points, reads)
     assert got.shape == (len(points), len(reads))
@@ -179,7 +187,7 @@ def test_gaussian_sweep_maps_each_shared_device_once(monkeypatch):
     original = fconv.gaussian._local_map
 
     def counting(devs):
-        built.append(len(devs) if isinstance(devs, list) else 1)
+        built.append(len(devs))
         return original(devs)
 
     monkeypatch.setattr(fconv.gaussian, "_local_map", counting)
@@ -202,6 +210,7 @@ def test_stacked_gaussian_state_refuses_one_bad_point(where, bad):
     means, cov = np.zeros((4, 2)), np.tile(np.eye(2) / 4, (4, 1, 1))
     GaussianState(reg, means, cov)
     GaussianState(reg, means, cov[0])  # a covariance shared by every point
+    GaussianState(reg, means, cov[:1])  # shared, with the axis of one of a shared map
     if where == "means":
         means[2, 1] = bad
     else:
@@ -210,7 +219,9 @@ def test_stacked_gaussian_state_refuses_one_bad_point(where, bad):
         GaussianState(reg, means, cov)
 
 
-@pytest.mark.parametrize("means, cov", [((3, 2), (4, 2, 2)), ((2,), (3, 2, 2)), ((3, 2), (3, 2))])
+@pytest.mark.parametrize(
+    "means, cov", [((3, 2), (4, 2, 2)), ((2,), (3, 2, 2)), ((3, 2), (3, 2)), ((2,), (1, 2, 2))]
+)
 def test_gaussian_state_refuses_point_axes_that_differ(means, cov):
     with pytest.raises(ValueError, match=re.escape("expected means (..., 2) and cov (2,2)")):
         GaussianState(ModeRegistry([("a", 1.0, 1)]), np.zeros(means), np.zeros(cov))

@@ -35,7 +35,7 @@ from dense_reference import reference_symplectic
 
 def device_symplectic(registry, dev):
     """2M x 2M quadrature transfer matrix of one unitary Gaussian device."""
-    return _moment_map(registry, dev)[0]
+    return _moment_map(registry, [dev])[0][0]
 
 
 def symplectic_form(num_modes):
@@ -142,7 +142,7 @@ def test_symplectic_property(dev):
 def test_passive_symplectic_is_real_form_of_mode_matrix(dev):
     # with a = x + i p, u a acts on (x, p) as Re u * I + Im u * [[0, -1], [1, 0]]
     reg = ModeRegistry([(m, 1.0, 1) for m in dev.modes])
-    U, _ = dev.heisenberg
+    U = heisenberg_uv([dev])[0][0]
     real_form = np.kron(U.real, np.eye(2)) + np.kron(U.imag, [[0.0, -1.0], [1.0, 0.0]])
     assert np.max(np.abs(device_symplectic(reg, dev) - real_form)) < 1e-15
 
@@ -210,11 +210,13 @@ def _apply_by_hand(reg, dev, means, cov):
 def test_compiled_circuit_matches_sequential_application(devices, alphas):
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     state = coherent_gaussian(reg, dict(zip(_MODES, alphas)))
-    channel = _fold(reg, devices)
+    channel = _fold(reg, [[dev] for dev in devices])
     means, cov, one_by_one = state.means, state.cov, state
     for dev in devices:
         means, cov = _apply_by_hand(reg, dev, means, cov)
         one_by_one = gaussian_apply(one_by_one, dev)
+    # one device at a time keeps the unstacked shape
+    assert one_by_one.means.shape == (6,) and one_by_one.cov.shape == (6, 6)
     # the map is folded once, and every step reuses it
     for out in (one_by_one, _step(state, channel), _step(state, channel)):
         assert np.max(np.abs(out.means - means)) < 1e-12
@@ -223,11 +225,12 @@ def test_compiled_circuit_matches_sequential_application(devices, alphas):
 
 _strength = st.just(0.0) | st.floats(0.0, 3.0)
 _any_phase = st.floats(allow_nan=False, allow_infinity=False)
-_gaussian_device = st.one_of(
+_gaussian_kinds = (
     st.builds(lambda m, t, p: Converter(*m, t, p), _pairs, _strength, _any_phase),
     st.builds(lambda m, r, p: Amplifier(*m, r, p), _pairs, _strength, _any_phase),
     st.builds(PhaseShift, st.sampled_from(_MODES), _any_phase),
 )
+_gaussian_device = st.one_of(*_gaussian_kinds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,25 +248,27 @@ def test_stacked_moment_map_is_the_per_device_maps_bitwise(devices):
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
     X, Y = _moment_map(reg, devices)
     for i, dev in enumerate(devices):
-        Xi, Yi = _moment_map(reg, dev)
-        assert np.array_equal(X[i], Xi)
+        Xi, Yi = _moment_map(reg, [dev])
+        assert np.array_equal(X[i], Xi[0])
         if Yi is None:  # a unitary adds no noise
             assert Y is None or not Y[i].any()
         else:
-            assert np.array_equal(Y[i], Yi)
+            assert np.array_equal(Y[i], Yi[0])
     if not any(isinstance(dev, Attenuator) for dev in devices):
         assert Y is None
 
 
 @settings(max_examples=200, deadline=None)
-@given(_gaussian_device)
-def test_heisenberg_map_keeps_the_commutators(dev):
-    # [a_j, a_k^dag] = delta_jk and [a_j, a_k] = 0 after a -> U a + V a^dag
-    U, V = dev.heisenberg
-    n = len(dev.modes)
-    assert U.shape == V.shape == (n, n)
-    assert np.max(np.abs(U @ U.conj().T - V @ V.conj().T - np.eye(n))) < 1e-12
-    assert np.max(np.abs(U @ V.T - V @ U.T)) < 1e-12
+@given(st.one_of(*(st.lists(kind, min_size=1, max_size=5) for kind in _gaussian_kinds)))
+def test_heisenberg_map_keeps_the_commutators(devs):
+    # [a_j, a_k^dag] = delta_jk and [a_j, a_k] = 0 after a -> U a + V a^dag, for
+    # one device (a list of one) and for a stack of one kind
+    U, V = heisenberg_uv(devs)
+    n = len(devs[0].modes)
+    assert U.shape == V.shape == (len(devs), n, n)
+    Ut, Vt = np.swapaxes(U, -1, -2), np.swapaxes(V, -1, -2)
+    assert np.max(np.abs(U @ Ut.conj() - V @ Vt.conj() - np.eye(n))) < 1e-12
+    assert np.max(np.abs(U @ Vt - V @ Ut)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -271,13 +276,13 @@ def test_heisenberg_map_keeps_the_commutators(dev):
 )
 def test_devices_without_heisenberg_map_have_no_symplectic(dev):
     reg = ModeRegistry([(m, 1.0, 2) for m in _MODES])
-    assert heisenberg_uv(dev) is None and heisenberg_uv([dev, dev]) is None
+    assert heisenberg_uv([dev]) is None and heisenberg_uv([dev, dev]) is None
     with pytest.raises(NonGaussianDevice):
         reference_symplectic(reg, dev)
     if isinstance(dev, Attenuator):  # no (U, V), but the loss channel's local map
-        assert _local_map(dev)[1] is not None
+        assert _local_map([dev])[1] is not None
         return
-    for refuse in (lambda: _local_map(dev), lambda: _local_map([dev, dev]),
+    for refuse in (lambda: _local_map([dev]), lambda: _local_map([dev, dev]),
                    lambda: gaussian_apply(coherent_gaussian(reg, {}), dev)):
         with pytest.raises(NonGaussianDevice, match=type(dev).__name__):
             refuse()
@@ -290,8 +295,8 @@ def test_subclass_of_a_gaussian_device_keeps_its_map(dev):
     # the (U, V) formula is found through the class hierarchy, one device or stacked
     sub = type("Sub" + type(dev).__name__, (type(dev),), {})(*vars(dev).values())
     reg = ModeRegistry([(m, 1.0, 1) for m in _MODES])
-    assert all(np.array_equal(a, b) for a, b in zip(sub.heisenberg, dev.heisenberg))
-    assert np.array_equal(_moment_map(reg, sub)[0], _moment_map(reg, dev)[0])
+    assert all(np.array_equal(a, b) for a, b in zip(heisenberg_uv([sub]), heisenberg_uv([dev])))
+    assert np.array_equal(_moment_map(reg, [sub])[0], _moment_map(reg, [dev])[0])
     assert np.array_equal(_moment_map(reg, [sub, sub])[0], _moment_map(reg, [dev, dev])[0])
 
 
