@@ -36,10 +36,9 @@ then `expm` multiplies out each row's block.  The unitaries are unitary to
 machine precision whatever the truncation, whose error shows up only as state
 leakage, which the constructors guard against.
 
-`fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`:
-the space cuts every mode by the photon number the circuit conserves, and the
-sweep runs a scan's points in turn, sharing the process-wide caches
-`_walk_chains` and `fock._binomials`.
+`fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`: the
+space owns every Fock cutoff, each mode's from the charges through it, and the sweep
+runs a scan's points in turn, sharing the process-wide `_walk_chains` and `fock._binomials`.
 """
 
 from __future__ import annotations
@@ -411,28 +410,36 @@ def bind_reads(table, reads, backend: str) -> list:
 
 
 def fock_space(modes, points) -> ModeRegistry:
-    """Every mode cut at the vacuum pair tail of the largest squeeze, to 1e-10 since
-    the Fock variance reads it, if any point holds an amplifier, else at the coherent
-    tail of the largest total input amplitude sqrt(sum |alpha|^2) over the points.
-
-    Converters, attenuators and the trilinear coupler keep every mode under that
-    tail: a conserved pair charge, n_a + n_b for a converter, n_p + n_s and n_p + n_i
-    for the coupler (which turns a pump photon into a signal and an idler photon),
-    bounds each mode and holds at most the total input photons; loss only lowers it.
-    A Fock-state input, whose own level count sets its mode's box, is refused: its
-    runner builds its own registry."""
-    for _, inputs in points:
-        for label, a in inputs.items():
-            if isinstance(a, PureState):
-                raise ValueError(f"fock_space sizes coherent inputs only: the Fock-state "
-                                 f"input on mode {label!r} sets its own cutoff")
-    amps = [abs(d.squeeze) for devs, _ in points for d in devs if isinstance(d, Amplifier)]
-    if amps:
-        c = amplifier_required_cutoff(max(amps), tail_tol=1e-10)
-    else:
-        c = coherent_required_cutoff(max(
-            (math.hypot(*map(abs, inputs.values())) for _, inputs in points), default=0.0))
-    return ModeRegistry([(label, f, c) for label, f in modes])
+    """Each mode cut at the largest bound, over the points, of a charge through it, or
+    every mode at the 1e-10 vacuum pair tail of the largest squeeze if any point holds an
+    amplifier.  A point whose one photon-moving device is the trilinear coupler keeps
+    n_p + n_s, n_p + n_i and each other mode; any other keeps at most its total photons.
+    A bound is the charge's Fock photons (each input's cutoff) plus the coherent tail of
+    its total amplitude, unless it has Fock photons and no amplitude: so the coupler
+    clips no chain it reaches.  A one-mode PureState input keeps its level count."""
+    labels, fixed, top = tuple([label for label, _ in modes]), {}, {}
+    for devs, inputs in points:  # each charge's largest amplitude per Fock photon count
+        movers, charges = [d for d in devs if len(d.modes) > 1], (labels,)  # photon-moving
+        if len(movers) == 1 and isinstance(movers[0], TrilinearCoupler):
+            p, s, i = movers[0].modes
+            charges = ((p, s), (p, i), *[(m,) for m in labels if m not in (p, s, i)])
+        for charge in charges:
+            photons, amps = 0, []
+            for label in charge:
+                a = inputs.get(label)
+                if isinstance(a, PureState):
+                    photons += fixed.setdefault(label, a.registry.cutoffs[0])
+                elif a is not None:
+                    amps.append(abs(a))
+            if not top.get((charge, photons), -1.0) >= (amp := math.hypot(*amps)):
+                top[charge, photons] = amp
+    squeezes = [abs(d.squeeze) for devs, _ in points for d in devs if isinstance(d, Amplifier)]
+    cut = dict.fromkeys(labels, amplifier_required_cutoff(max(squeezes), 1e-10) if squeezes else 1)
+    for (charge, photons), amp in () if squeezes else top.items():
+        bound = photons + (coherent_required_cutoff(amp) if amp or not photons else 0)
+        for label in charge:
+            cut[label] = max(cut.get(label, 1), bound)
+    return ModeRegistry([(label, f, fixed.get(label, cut[label])) for label, f in modes])
 
 
 def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:

@@ -25,7 +25,7 @@ from .devices import (
     heisenberg_uv,
 )
 from .errors import EnergyConservationViolation
-from .fock import PureState, coherent_required_cutoff, make_coherent
+from .fock import PureState, make_coherent
 from .gaussian import gaussian_space, gaussian_sweep
 from .registry import ModeRegistry
 
@@ -84,7 +84,7 @@ def _backend(name: str):
     (label, frequency) pairs sized for the points the sweep will run, and
     sweep(registry, points, reads) the points x reads array of a scan, each point
     (devices, {label: input}) with a coherent amplitude (or, on Fock, a one-mode
-    PureState, whose registry its runner builds) per listed mode, vacuum elsewhere,
+    PureState, which keeps its level count) per listed mode, vacuum elsewhere,
     and each read ("photons", mode), ("variance", mode, phase) or, on Fock,
     ("fidelity", modes, pure target); any other read is refused before a point runs.
 
@@ -262,29 +262,24 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
     converter prediction approaches one as the signal becomes classical.
 
     ``pump_input`` is any single-mode state (its label is not read); each amplitude
-    is one point of a Fock sweep on its own (pump, signal, idler) registry.
-    The signal cutoff is the coherent tail of alpha_s plus the pump cutoff:
-    the coupler conserves n_p + n_s, so it clips no chain it reaches.  The
-    metadata's `cutoffs` name the pump and idler; `signal_cutoffs` gives the
+    is one point of a Fock sweep on the registry `fock_space` sizes for it alone.
+    The metadata's `cutoffs` name the pump and idler; `signal_cutoffs` gives the
     signal cutoff of each amplitude.
     """
     alphas = [float(a) for a in alpha_s_points]
     if any(a <= 0 for a in alphas):
         raise ValueError("signal amplitudes must be > 0")
-    c_p = pump_input.registry.cutoffs[0]
 
     # linearized prediction: the same pump input through a converter at theta
-    pump_idler = ModeRegistry([("pump", 2.0, c_p), ("idler", 1.0, c_p)])
-    target = apply_device(make_coherent(pump_idler, {"pump": pump_input}),
-                          Converter("pump", "idler", theta))
+    conv, pump = Converter("pump", "idler", theta), {"pump": pump_input}
+    pump_idler = fock_space([("pump", 2.0), ("idler", 1.0)], [((conv,), pump)])
+    target = apply_device(make_coherent(pump_idler, pump), conv)
     fidelity = [("fidelity", ("pump", "idler"), target)]
 
-    fidelities, signal_cutoffs = [], [coherent_required_cutoff(a) + c_p for a in alphas]
-    for a_s, c_s in zip(alphas, signal_cutoffs):
-        registry = ModeRegistry([("pump", 2.0, c_p), ("signal", 1.0, c_s), ("idler", 1.0, c_p)])
-        coupler = TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s)
-        point = ((coupler,), {"pump": pump_input, "signal": a_s})
-        fidelities.append(fock_sweep(registry, [point], fidelity)[0, 0])
+    points = [[((TrilinearCoupler("pump", "signal", "idler", eta_tau=theta / a_s),),
+                {"pump": pump_input, "signal": a_s})] for a_s in alphas]
+    registries = [fock_space([("pump", 2.0), ("signal", 1.0), ("idler", 1.0)], p) for p in points]
+    fidelities = [fock_sweep(reg, p, fidelity)[0, 0] for reg, p in zip(registries, points)]
 
     return ScanResult(
         abscissa_label="alpha_s",
@@ -292,8 +287,8 @@ def run_depletion_convergence(alpha_s_points, theta: float, pump_input: PureStat
         abscissa=alphas,
         values=np.transpose([fidelities]),
         metadata=_meta(
-            "fock", cutoffs=target.registry, theta=theta, pump_cutoff=c_p,
-            signal_cutoffs=";".join(map(str, signal_cutoffs)),
+            "fock", cutoffs=pump_idler, theta=theta, pump_cutoff=pump_idler.cutoffs[0],
+            signal_cutoffs=";".join(str(reg.cutoffs[1]) for reg in registries),
         ),
     )
 

@@ -146,11 +146,11 @@ def poisson_tails(mu: float) -> np.ndarray:
     tails carry no 1 - cdf cancellation.
     """
     size = int(mu + 12 * math.sqrt(mu)) + 61
-    if mu == 0.0:
-        return np.zeros(size)
-    n = np.arange(size)
-    pmf = np.exp(n * math.log(mu) - mu - _log_factorials(size))
-    return np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0)
+    tails = np.zeros(size)
+    if mu > 0.0:  # tails[c] sums pmf[c + 1:], written from the far end
+        pmf = np.exp(np.arange(size) * math.log(mu) - mu - _log_factorials(size))
+        np.cumsum(pmf[:0:-1], out=tails[-2::-1])
+    return tails
 
 
 def coherent_required_cutoff(alpha: complex) -> int:
@@ -363,9 +363,9 @@ def reduced_density(state: State, keep) -> FockDensityOp:
     if not keep:
         raise ValueError("keep must be nonempty")
     reg = state.registry
+    sub = reg.subregistry(keep)  # refuses a repeated label, as every registry does
     keep_axes = [reg.index(l) for l in keep]
     t = _to_front(_factor_tensor(state), keep_axes)
-    sub = reg.subregistry(keep)
     return FockDensityOp(sub, factor=t.reshape(sub.dim, -1))
 
 

@@ -188,6 +188,8 @@ def gaussian_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:
     if not points:
         return out
     devices, inputs = zip(*points)
+    if len(counts := sorted({len(devs) for devs in devices})) > 1:
+        raise ValueError(f"the Gaussian sweep takes points of one device count, got {counts}")
     positions = [list(devs[:1] if all(d is devs[0] for d in devs) else devs)
                  for devs in zip(*devices, strict=True)]  # every point holds one per position
     labels = dict.fromkeys(label for alphas in inputs for label in alphas)

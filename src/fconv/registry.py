@@ -40,7 +40,7 @@ class ModeRegistry:
         parsed = [Mode(str(l), float(f), c) for (l, f, c) in modes]
         labels = [m.label for m in parsed]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"mode labels must be unique, got {labels}")
+            raise ValueError(f"mode label {max(labels, key=labels.count)!r} repeats in {labels}")
         self.modes = tuple(parsed)
         self._index = {m.label: i for i, m in enumerate(self.modes)}
         self.labels = tuple(labels)
@@ -64,8 +64,8 @@ class ModeRegistry:
         return int(np.ravel_multi_index(tuple(int(n) for n in occupations), self.dims))
 
     def subregistry(self, labels: Sequence[str]) -> "ModeRegistry":
-        """New registry containing only the given modes, in the given order."""
-        return ModeRegistry(
+        """Registry of only the given modes, in the given order (itself if that is its own)."""
+        return self if tuple(labels) == self.labels else ModeRegistry(
             [(m.label, m.frequency, m.cutoff) for m in (self.modes[self.index(l)] for l in labels)]
         )
 

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from fconv import (
     Amplifier,
     Attenuator,
     Converter,
+    CutoffTooSmall,
     DimensionMismatch,
     EnergyConservationViolation,
     GaussianState,
@@ -40,6 +42,7 @@ from fconv import (
     run_wdm,
 )
 
+from fconv.cli import BACKEND_AGREEMENT_TOL
 from fconv.fock import coherent_required_cutoff
 from fconv.gaussian import _fold, _step
 
@@ -287,6 +290,14 @@ def test_fock_sweep_fidelity_read_is_the_reduced_state_fidelity():
     assert np.trace(rho.matrix @ rho.matrix).real < 0.9  # the lossy output is mixed
 
 
+def test_fock_sweep_fidelity_read_refuses_a_repeated_mode_naming_it():
+    reg = ModeRegistry([("a", 2.0, 4), ("b", 1.0, 4)])
+    target = make_vacuum(ModeRegistry([("a", 2.0, 4), ("a2", 2.0, 4)]))
+    _, sweep = fconv.experiments._backend("fock")
+    with pytest.raises(ValueError, match=r"^mode label 'a' repeats in \['a', 'a'\]$"):
+        sweep(reg, [((Converter("a", "b", 0.3),), {"a": 0.1})], [("fidelity", ("a", "a"), target)])
+
+
 # ---------------------------------------------------------------------------
 # linearity
 
@@ -499,13 +510,98 @@ def test_space_sizes_the_box_from_the_points():
         assert cutoffs(gaussian, points) == (1, 1)
 
 
-def test_fock_space_refuses_a_fock_state_input_naming_its_mode():
+def test_fock_space_keeps_a_fock_state_input_and_counts_its_photons():
+    from fconv.devices import amplifier_required_cutoff
+
     fock, _ = fconv.experiments._backend("fock")
-    state = make_fock(ModeRegistry([("x", 1.0, 2)]), [2])
-    points = [((), {"a": 1.0}), ((), {"a": 1.0, "b": state})]
-    with pytest.raises(ValueError, match="^fock_space sizes coherent inputs only: the "
-                                         "Fock-state input on mode 'b' sets its own cutoff$"):
-        fock([("a", 2.0), ("b", 1.0)], points)
+    n, alpha = 3, 2.5
+    pump = make_fock(ModeRegistry([("x", 1.0, n)]), [n])
+    pair, conv = [("p", 2.0), ("i", 1.0)], (Converter("p", "i", 0.3),)
+    # a |n> pump through a converter: its n photons bound n_p + n_i, with no coherent tail
+    assert fock(pair, [(conv, {"p": pump})]).cutoffs == (n, n)
+    # a state counts as its cutoff: the vacuum on cutoff 1 of `depletion --pump-photon 0`
+    vacuum = make_vacuum(ModeRegistry([("x", 1.0, 1)]))
+    assert fock(pair, [(conv, {"p": vacuum})]).cutoffs == (1, 1)
+    # through the coupler with a coherent signal: n_p + n_s holds n plus the signal's tail
+    coupler = ((TrilinearCoupler("p", "s", "i", 0.2),), {"p": pump, "s": alpha})
+    modes = [("p", 2.0), ("s", 1.0), ("i", 1.0)]
+    assert fock(modes, [coupler]).cutoffs == (n, coherent_required_cutoff(alpha) + n, n)
+    # an amplifier sizes the other modes; the state keeps its own level count
+    amplified = [((Amplifier("p", "i", 0.2),), {"p": pump})]
+    assert fock(modes, amplified).cutoffs == (n,) + (amplifier_required_cutoff(0.2, 1e-10),) * 2
+
+
+def test_fock_space_cuts_a_coupler_point_by_its_pair_charges():
+    fock, _ = fconv.experiments._backend("fock")
+    modes = [("p", 2.0), ("s", 1.0), ("i", 1.0), ("x", 1.0)]
+    inputs = {"p": 1.0, "s": 3.0, "i": -4.0j, "x": 0.5}
+    coupler, tail = TrilinearCoupler("p", "s", "i", 0.2), coherent_required_cutoff
+    # n_p + n_s, n_p + n_i, and x alone: each mode at the largest charge through it
+    p_s, p_i, total = tail(math.hypot(1, 3)), tail(math.hypot(1, 4)), tail(math.hypot(1, 3, 4, 0.5))
+    assert fock(modes, [((coupler,), inputs)]).cutoffs == (p_i, p_s, p_i, tail(0.5))
+    assert p_s < p_i < total
+    # with a converter as well, the point keeps the total-photon rule: never cut below it
+    mixed = [((coupler, Converter("i", "x", 0.5)), inputs)]
+    assert fock(modes, mixed).cutoffs == (total,) * 4
+
+
+_SEAM_MODES = [("a", 2.0), ("b", 1.0), ("c", 1.5)]
+_SEAM_READS = [("photons", "a"), ("photons", "b"), ("variance", "a", 0.0), ("variance", "b", 0.7)]
+
+
+def _seam_gap(points, modes):
+    """The largest gap of the Fock sweep on `fock_space`'s box from the Gaussian sweep,
+    or None if the Fock backend refuses the points."""
+    (f_space, f_sweep), (g_space, g_sweep) = map(fconv.experiments._backend, ("fock", "gaussian"))
+    try:
+        fock = f_sweep(f_space(modes, points), points, _SEAM_READS)
+    except (CutoffTooSmall, MemoryError):
+        return None
+    return np.max(np.abs(fock - g_sweep(g_space(modes, points), points, _SEAM_READS)))
+
+
+@st.composite
+def _passive_points(draw):
+    """1-3 points of 1-3 converters, attenuators and phase shifts on 2-3 modes, each
+    with coherent inputs of |alpha| <= 1.5 on some of them."""
+    labels = [m for m, _ in _SEAM_MODES[: draw(st.integers(2, 3))]]
+    phase, size = st.floats(-np.pi, np.pi), draw(st.integers(1, 3))
+
+    def device():
+        kind, a, b = draw(st.sampled_from("cap")), *draw(st.permutations(labels))[:2]
+        if kind == "c":
+            return Converter(a, b, draw(st.floats(0.0, np.pi)), draw(phase))
+        if kind == "a":
+            return Attenuator(a, draw(st.floats(0.0, 1.0)))
+        return PhaseShift(a, draw(phase))
+
+    def inputs():
+        chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+        return {m: draw(st.floats(0.0, 1.5)) * np.exp(1j * draw(phase)) for m in chosen}
+
+    count = draw(st.integers(1, 3))
+    points = [(tuple(device() for _ in range(size)), inputs()) for _ in range(count)]
+    return points, [m for m in _SEAM_MODES if m[0] in labels]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scan=_passive_points())
+def test_fock_space_agrees_with_the_gaussian_sweep_on_passive_points(scan):
+    # whatever box the space sizes, the Fock sweep agrees with the Gaussian one or refuses
+    gap = _seam_gap(*scan)
+    assert gap is None or gap <= BACKEND_AGREEMENT_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="fock_space cuts an amplifier circuit at the vacuum pair "
+                   "tail of its squeeze whatever its coherent input: the Fock sweep neither "
+                   "agrees with the Gaussian one nor refuses")
+@pytest.mark.parametrize("devices", [
+    (Amplifier("a", "b", 0.4),),  # box (11, 11): 4.2e-5 off
+    (Converter("a", "b", 1.1), Amplifier("a", "b", 0.4)),  # box (11, 11): 4.4e-5 off
+], ids=["amplifier", "converter-then-amplifier"])
+def test_fock_space_agrees_with_the_gaussian_sweep_on_an_amplified_coherent_input(devices):
+    gap = _seam_gap([(devices, {"a": 0.9})], _SEAM_MODES[:2])
+    assert gap is None or gap <= BACKEND_AGREEMENT_TOL
 
 
 @pytest.mark.parametrize(
@@ -662,8 +758,8 @@ def test_depletion_auto_cutoff_is_converged(n, alpha_s, theta):
         return run_depletion_convergence([alpha_s], theta, pump).column("fidelity_vs_converter")[0]
 
     auto = fidelity(n)
-    rule = fconv.experiments.coherent_required_cutoff
-    with mock.patch.object(fconv.experiments, "coherent_required_cutoff", lambda a: rule(a) + 3):
+    rule = fconv.devices.coherent_required_cutoff
+    with mock.patch.object(fconv.devices, "coherent_required_cutoff", lambda a: rule(a) + 3):
         wider = fidelity(n + 3)  # 3 more levels on the pump and idler, 6 on the signal
     assert abs(auto - wider) <= 1e-9
 

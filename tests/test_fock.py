@@ -39,7 +39,7 @@ from fconv.devices import (
     converter_generator,
     trilinear_generator,
 )
-from fconv.fock import COHERENT_TAIL_TOL, coherent_required_cutoff, poisson_tails
+from fconv.fock import COHERENT_TAIL_TOL, _log_factorials, coherent_required_cutoff, poisson_tails
 
 from dense_reference import dense_moments, dense_quadrature_variance
 
@@ -207,6 +207,9 @@ def test_poisson_tails_match_scipy_survival(mu):
     tails = poisson_tails(mu)
     sf = poisson.sf(np.arange(len(tails)), mu)
     assert np.all(np.abs(tails - sf) <= 1e-11 * sf + 1e-30)
+    if mu:  # the pmf's running sums from the far end, bit for bit, with a final 0
+        pmf = np.exp(np.arange(len(tails)) * math.log(mu) - mu - _log_factorials(len(tails)))
+        assert np.array_equal(tails, np.append(np.cumsum(pmf[:0:-1])[::-1], 0.0))
 
 
 def test_coherent_complex_phase():
@@ -452,6 +455,15 @@ def test_partial_trace_tmsv_idler_is_thermal():
     geometric = nbar**n / (1 + nbar) ** (n + 1)
     assert np.max(np.abs(np.diag(red.matrix).real - geometric)) < 1e-10
     assert abs(np.trace(red.matrix) - 1) < 1e-10
+
+
+def test_partial_trace_refuses_a_repeated_mode_naming_it():
+    # the kept modes form a registry, which names a repeated label
+    reg = ModeRegistry([("a", 1.0, 2), ("b", 1.0, 1)])
+    with pytest.raises(ValueError, match=r"^mode label 'b' repeats in \['b', 'a', 'b'\]$"):
+        reduced_density(make_vacuum(reg), ["b", "a", "b"])
+    with pytest.raises(ValueError, match=r"^mode label 'a' repeats in \['a', 'b', 'a'\]$"):
+        ModeRegistry([("a", 1.0, 2), ("b", 1.0, 1), ("a", 2.0, 1)])
 
 
 def test_partial_trace_unknown_mode():

@@ -349,3 +349,13 @@ def test_gaussian_sweep_refuses_a_fock_state_input_naming_its_mode():
               ((Converter("pump", "idler", 0.3),), {"idler": 0.2, "pump": pump})]
     with pytest.raises(NonGaussianDevice, match="Fock-state input on mode 'pump'"):
         gaussian_sweep(reg, points, [("photons", "idler")])
+
+
+def test_gaussian_sweep_refuses_points_of_different_device_counts():
+    # the Fock sweep runs these points; a Gaussian position needs a device on every point
+    reg = ModeRegistry([("pump", 2.0, 1), ("idler", 1.0, 1)])
+    conv = Converter("pump", "idler", 0.3)
+    points = [((conv,), {"pump": 0.5}), ((Attenuator("pump", 0.5), conv), {"pump": 0.5})]
+    with pytest.raises(ValueError, match=r"^the Gaussian sweep takes points of one device "
+                                         r"count, got \[1, 2\]$"):
+        gaussian_sweep(reg, points, [("photons", "idler")])

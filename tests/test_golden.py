@@ -3,7 +3,7 @@
 Metadata and header lines must match exactly, and every value within 1e-12
 relative or 1e-15 absolute: not byte for byte, since another BLAS or libm may
 round the last digit of an `eigh` differently.  The cases are the five
-defaults, the Gaussian runs, larger Fock boxes, two non-default depletion
+defaults, the Gaussian runs, larger Fock boxes, three non-default depletion
 scans, a phased two-channel WDM cascade, and Gaussian runs far beyond any
 Fock box.  A change that means to move numbers regenerates every file with
 
@@ -36,6 +36,7 @@ CASES = {
     "noise-s-max-2": "noise --s-max 2",
     "depletion-pump-photon-6": "depletion --pump-photon 6 --alpha-s 10",
     "depletion-pump-photon-3-theta": "depletion --pump-photon 3 --alpha-s 2 3.5 --theta 1.1",
+    "depletion-pump-photon-0": "depletion --pump-photon 0",
     "wdm-phased": "wdm --channel 1.2:0.5:0.3 --channel 0.8:1.0:-2.5",
     "linearity-gaussian-alpha-pump-1e100": "linearity --alpha-pump 1e100 --backend gaussian",
     "fringe-gaussian-alpha-pump-1e6": "fringe --alpha-pump 1e6 --backend gaussian",

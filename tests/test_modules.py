@@ -21,3 +21,11 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_")
                 ]
     assert not found, "\n".join(found)
+
+
+def test_experiments_leaves_every_fock_cutoff_to_the_space():
+    # the runners size their boxes through `devices.fock_space`, which owns the rules
+    path = Path(fconv.__file__).with_name("experiments.py")
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"coherent_required_cutoff", "amplifier_required_cutoff"}
