@@ -36,9 +36,10 @@ then `expm` multiplies out each row's block.  The unitaries are unitary to
 machine precision whatever the truncation, whose error shows up only as state
 leakage, which the constructors guard against.
 
-`fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`: the
-space owns every Fock cutoff, each mode's from the charges through it, and the sweep
-runs a scan's points in turn, sharing the process-wide `_walk_chains` and `fock._binomials`.
+`fock_space` and `fock_sweep` are the Fock backend of `experiments._backend`:
+the space owns every Fock cutoff, each mode's from the charges through it, and
+the sweep runs a scan's points in turn, sharing the process-wide caches
+`_walk_chains` and `fock._binomials`.
 """
 
 from __future__ import annotations
@@ -410,36 +411,59 @@ def bind_reads(table, reads, backend: str) -> list:
 
 
 def fock_space(modes, points) -> ModeRegistry:
-    """Each mode cut at the largest bound, over the points, of a charge through it, or
-    every mode at the 1e-10 vacuum pair tail of the largest squeeze if any point holds an
-    amplifier.  A point whose one photon-moving device is the trilinear coupler keeps
-    n_p + n_s, n_p + n_i and each other mode; any other keeps at most its total photons.
-    A bound is the charge's Fock photons (each input's cutoff) plus the coherent tail of
-    its total amplitude, unless it has Fock photons and no amplitude: so the coupler
-    clips no chain it reaches.  A one-mode PureState input keeps its level count."""
-    labels, fixed, top = tuple([label for label, _ in modes]), {}, {}
-    for devs, inputs in points:  # each charge's largest amplitude per Fock photon count
-        movers, charges = [d for d in devs if len(d.modes) > 1], (labels,)  # photon-moving
+    """Each mode cut at the most photons a point can hold in it, or every mode at the
+    1e-10 vacuum pair tail of the largest squeeze if any point holds an amplifier.
+
+    A point holds a mode at the bound of the tightest charge through it: n_p + n_s
+    and n_p + n_i where the trilinear coupler, which turns a pump photon into a signal
+    and an idler photon, is the one photon-moving device, and otherwise the total
+    photons, which converters keep and loss only lowers.  A charge's bound is its Fock
+    photons (a Fock-state input counts its cutoff) plus the coherent tail of its total
+    amplitude sqrt(sum |alpha|^2), or the photons alone if they come with no amplitude.
+    A one-mode PureState input keeps its level count.  It is refused, naming its mode,
+    if a point can put more photons there, as a converter from a coherent input can,
+    or if the scan holds an amplifier, which bounds no mode."""
+    labels = [label for label, _ in modes]
+    squeezes = [abs(d.squeeze) for devs, _ in points for d in devs if isinstance(d, Amplifier)]
+    fixed = {}  # the cutoff of each Fock-state input, which its mode keeps
+    reach = dict.fromkeys(labels, 1)  # the most photons a point can hold in each mode
+    tails = {}  # coherent tail of each total amplitude: points often share one
+    for devs, inputs in points:
+        movers = [d for d in devs if len(d.modes) > 1]
         if len(movers) == 1 and isinstance(movers[0], TrilinearCoupler):
             p, s, i = movers[0].modes
-            charges = ((p, s), (p, i), *[(m,) for m in labels if m not in (p, s, i)])
+            charges = [(p, s), (p, i)] + [(m,) for m in labels if m not in (p, s, i)]
+        else:
+            charges = [labels]
+        tightest = {}
         for charge in charges:
             photons, amps = 0, []
             for label in charge:
                 a = inputs.get(label)
                 if isinstance(a, PureState):
-                    photons += fixed.setdefault(label, a.registry.cutoffs[0])
+                    fixed[label] = a.registry.cutoffs[0]
+                    photons += fixed[label]
                 elif a is not None:
                     amps.append(abs(a))
-            if not top.get((charge, photons), -1.0) >= (amp := math.hypot(*amps)):
-                top[charge, photons] = amp
-    squeezes = [abs(d.squeeze) for devs, _ in points for d in devs if isinstance(d, Amplifier)]
-    cut = dict.fromkeys(labels, amplifier_required_cutoff(max(squeezes), 1e-10) if squeezes else 1)
-    for (charge, photons), amp in () if squeezes else top.items():
-        bound = photons + (coherent_required_cutoff(amp) if amp or not photons else 0)
-        for label in charge:
-            cut[label] = max(cut.get(label, 1), bound)
-    return ModeRegistry([(label, f, fixed.get(label, cut[label])) for label, f in modes])
+            bound = photons
+            if squeezes:
+                bound = math.inf
+            elif any(amps) or not photons:
+                amp = math.hypot(*amps)
+                if amp not in tails:
+                    tails[amp] = coherent_required_cutoff(amp)
+                bound += tails[amp]
+            for label in charge:
+                tightest[label] = min(tightest.get(label, bound), bound)
+        for label, bound in tightest.items():
+            reach[label] = max(reach[label], bound)
+    for label, cutoff in fixed.items():
+        if reach[label] > cutoff:
+            raise ValueError(f"the points can put more photons in mode {label!r} than the "
+                             f"cutoff {cutoff} of its Fock-state input holds")
+    if squeezes:
+        reach = dict.fromkeys(labels, amplifier_required_cutoff(max(squeezes), 1e-10))
+    return ModeRegistry([(label, f, fixed.get(label, reach[label])) for label, f in modes])
 
 
 def fock_sweep(registry: ModeRegistry, points, reads) -> np.ndarray:

@@ -511,8 +511,6 @@ def test_space_sizes_the_box_from_the_points():
 
 
 def test_fock_space_keeps_a_fock_state_input_and_counts_its_photons():
-    from fconv.devices import amplifier_required_cutoff
-
     fock, _ = fconv.experiments._backend("fock")
     n, alpha = 3, 2.5
     pump = make_fock(ModeRegistry([("x", 1.0, n)]), [n])
@@ -522,27 +520,57 @@ def test_fock_space_keeps_a_fock_state_input_and_counts_its_photons():
     # a state counts as its cutoff: the vacuum on cutoff 1 of `depletion --pump-photon 0`
     vacuum = make_vacuum(ModeRegistry([("x", 1.0, 1)]))
     assert fock(pair, [(conv, {"p": vacuum})]).cutoffs == (1, 1)
-    # through the coupler with a coherent signal: n_p + n_s holds n plus the signal's tail
+    # through the coupler with a coherent signal: n_p + n_s holds n plus the signal's tail,
+    # and n_p + n_i holds the pump at its own n
     coupler = ((TrilinearCoupler("p", "s", "i", 0.2),), {"p": pump, "s": alpha})
     modes = [("p", 2.0), ("s", 1.0), ("i", 1.0)]
     assert fock(modes, [coupler]).cutoffs == (n, coherent_required_cutoff(alpha) + n, n)
-    # an amplifier sizes the other modes; the state keeps its own level count
-    amplified = [((Amplifier("p", "i", 0.2),), {"p": pump})]
-    assert fock(modes, amplified).cutoffs == (n,) + (amplifier_required_cutoff(0.2, 1e-10),) * 2
+
+
+def test_fock_space_refuses_a_fock_state_input_naming_its_mode():
+    # the mode keeps the state's level count, so no point may put more photons there
+    fock, _ = fconv.experiments._backend("fock")
+    one, two, three = (make_fock(ModeRegistry([("x", 1.0, n)]), [n]) for n in (1, 2, 3))
+    conv, coupler = (Converter("p", "i", 0.3),), (TrilinearCoupler("p", "s", "i", 0.2),)
+    cases = {
+        # a swap moves the coherent idler into the one-photon pump's box
+        "converter": ([((Converter("p", "i", np.pi / 2),), {"p": one, "i": 1.0})], "p", 1),
+        # so does a later point with a coherent pump on the same mode
+        "later-point": ([(conv, {"p": two}), (conv, {"p": 2.0})], "p", 2),
+        "two-states": ([(conv, {"p": two, "i": one})], "p", 2),
+        # with an idler input of its own, n_p + n_i holds more than the pump's photons:
+        # the coupler turns signal-idler pairs back into pump photons
+        "coupler-idler": ([(coupler, {"p": three, "s": 2.5, "i": 0.5})], "p", 3),
+        # an amplifier bounds no mode's photons
+        "amplifier": ([((Amplifier("p", "i", 0.2),), {"p": three})], "p", 3),
+    }
+    for name, (points, mode, cutoff) in cases.items():
+        with pytest.raises(ValueError, match=rf"^the points can put more photons in mode "
+                                             rf"'{mode}' than the cutoff {cutoff} of its "
+                                             rf"Fock-state input holds$"):
+            fock([("p", 2.0), ("s", 1.0), ("i", 1.0)], points)
+            pytest.fail(name)
 
 
 def test_fock_space_cuts_a_coupler_point_by_its_pair_charges():
-    fock, _ = fconv.experiments._backend("fock")
+    fock, sweep = fconv.experiments._backend("fock")
     modes = [("p", 2.0), ("s", 1.0), ("i", 1.0), ("x", 1.0)]
     inputs = {"p": 1.0, "s": 3.0, "i": -4.0j, "x": 0.5}
     coupler, tail = TrilinearCoupler("p", "s", "i", 0.2), coherent_required_cutoff
-    # n_p + n_s, n_p + n_i, and x alone: each mode at the largest charge through it
+    # n_p + n_s, n_p + n_i, and x alone: the pump at the tighter pair charge
     p_s, p_i, total = tail(math.hypot(1, 3)), tail(math.hypot(1, 4)), tail(math.hypot(1, 3, 4, 0.5))
-    assert fock(modes, [((coupler,), inputs)]).cutoffs == (p_i, p_s, p_i, tail(0.5))
+    assert fock(modes, [((coupler,), inputs)]).cutoffs == (p_s, p_s, p_i, tail(0.5))
     assert p_s < p_i < total
     # with a converter as well, the point keeps the total-photon rule: never cut below it
     mixed = [((coupler, Converter("i", "x", 0.5)), inputs)]
     assert fock(modes, mixed).cutoffs == (total,) * 4
+    # the pump's tighter box reads as a wider one does
+    point = [((TrilinearCoupler("p", "s", "i", 1.0),), {"p": 0.5, "s": 1.0, "i": 1.5j})]
+    reads = [("photons", m) for m, _ in modes[:3]] + [("variance", m, 0.3) for m, _ in modes[:3]]
+    box = fock(modes[:3], point)
+    wider = ModeRegistry([(m, f, c + 4) for (m, f), c in zip(modes, box.cutoffs)])
+    assert box.cutoffs[0] < box.cutoffs[2]
+    assert np.max(np.abs(sweep(box, point, reads) - sweep(wider, point, reads))) <= BACKEND_AGREEMENT_TOL
 
 
 _SEAM_MODES = [("a", 2.0), ("b", 1.0), ("c", 1.5)]
